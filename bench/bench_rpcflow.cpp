@@ -6,9 +6,9 @@
 // simulated wire: for every Table-1 environment it storms N no-payload
 // calls (cudaSetDevice(0), a fire-and-forget proc) through
 //
-//   serial      — the stock synchronous RemoteCudaApi, one RPC per call
-//   pipelined   — AsyncRemoteCudaApi, depth-D xid-multiplexed window,
-//                 every call its own wire record
+//   serial      — the stock RemoteCudaApi, one synchronous RPC per call
+//   pipelined   — RemoteCudaApi with pipelining on, depth-D
+//                 xid-multiplexed window, every call its own wire record
 //   pipe+batch  — same window plus the small-call batcher (one wire record
 //                 flush per coalesced group) and server reply coalescing
 //
@@ -23,52 +23,11 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "cricket/async_api.hpp"
 #include "sim/stats.hpp"
 
 namespace {
 
 using namespace cricket;
-
-/// Client<->server stack with the pipelined client; mirrors bench::Rig but
-/// enables the server's pipelined per-connection loop (workers clamped to 1
-/// by CricketServer for in-order session execution).
-class AsyncRig {
- public:
-  AsyncRig(const env::Environment& environment, std::uint32_t depth,
-           bool batching)
-      : node_(cuda::GpuNode::make_a100()) {
-    workloads::register_sample_kernels(node_->registry());
-    core::ServerOptions server_options;
-    server_options.serve.workers = 1;
-    server_ = std::make_unique<core::CricketServer>(*node_, server_options);
-    auto conn = env::connect(environment, node_->clock());
-    server_thread_ = server_->serve_async(std::move(conn.server));
-    core::AsyncClientConfig config;
-    config.flavor = environment.flavor;
-    config.pipeline =
-        env::PipelineConfig{.enabled = true, .depth = depth, .batching = batching};
-    api_ = std::make_unique<core::AsyncRemoteCudaApi>(
-        std::move(conn.guest), node_->clock(), config);
-  }
-
-  ~AsyncRig() {
-    api_.reset();
-    if (server_thread_.joinable()) server_thread_.join();
-  }
-
-  AsyncRig(const AsyncRig&) = delete;
-  AsyncRig& operator=(const AsyncRig&) = delete;
-
-  [[nodiscard]] core::AsyncRemoteCudaApi& api() { return *api_; }
-  [[nodiscard]] sim::SimClock& clock() { return node_->clock(); }
-
- private:
-  std::unique_ptr<cuda::GpuNode> node_;
-  std::unique_ptr<core::CricketServer> server_;
-  std::thread server_thread_;
-  std::unique_ptr<core::AsyncRemoteCudaApi> api_;
-};
 
 struct Mode {
   std::string name;
@@ -88,20 +47,10 @@ double to_calls_per_sec(std::uint64_t calls, sim::Nanos total) {
                           (static_cast<double>(total) / 1e9);
 }
 
-sim::Nanos run_serial(const env::Environment& environment,
-                      std::uint64_t calls) {
+/// Virtual time for `calls` fire-and-forget calls through bench::Rig's
+/// client, pipelined when `environment` says so.
+sim::Nanos run(const env::Environment& environment, std::uint64_t calls) {
   bench::Rig rig(environment);
-  rig.clock().reset();
-  const sim::SimStopwatch sw(rig.clock());
-  for (std::uint64_t i = 0; i < calls; ++i)
-    cuda::check(rig.api().set_device(0));
-  return sw.elapsed();
-}
-
-sim::Nanos run_pipelined(const env::Environment& environment,
-                         std::uint64_t calls, std::uint32_t depth,
-                         bool batching) {
-  AsyncRig rig(environment, depth, batching);
   rig.clock().reset();
   const sim::SimStopwatch sw(rig.clock());
   for (std::uint64_t i = 0; i < calls; ++i)
@@ -166,13 +115,14 @@ int main(int argc, char** argv) {
 
     std::fprintf(stderr, "[%s] serial...\n", environment.name.c_str());
     Mode serial{.name = "serial"};
-    serial.total = run_serial(environment, calls);
+    serial.total = run(environment, calls);
     serial.calls_per_sec = to_calls_per_sec(calls, serial.total);
     env_result.modes.push_back(serial);
 
     std::fprintf(stderr, "[%s] pipelined...\n", environment.name.c_str());
     Mode pipelined{.name = "pipelined"};
-    pipelined.total = run_pipelined(environment, calls, depth, false);
+    pipelined.total =
+        run(env::with_pipelining(environment, depth, false), calls);
     pipelined.calls_per_sec = to_calls_per_sec(calls, pipelined.total);
     pipelined.speedup = static_cast<double>(serial.total) /
                         static_cast<double>(pipelined.total);
@@ -181,7 +131,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[%s] pipelined+batched...\n",
                  environment.name.c_str());
     Mode batched{.name = "pipelined+batched"};
-    batched.total = run_pipelined(environment, calls, depth, true);
+    batched.total =
+        run(env::with_pipelining(environment, depth, true), calls);
     batched.calls_per_sec = to_calls_per_sec(calls, batched.total);
     batched.speedup = static_cast<double>(serial.total) /
                       static_cast<double>(batched.total);

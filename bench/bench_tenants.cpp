@@ -170,7 +170,7 @@ PolicyResult run_policy(core::SchedulerPolicy policy, int tenant_count,
   std::vector<std::string> names;
   for (int t = 0; t < tenant_count; ++t) {
     tenancy::TenantSpec spec;
-    spec.name = "t" + std::to_string(t);
+    spec.name = std::string("t").append(std::to_string(t));
     names.push_back(spec.name);
     ids.push_back(tenants.register_tenant(spec));
   }

@@ -46,11 +46,15 @@ class Rig {
     // the server-side content-addressed cache and the client's hash-first
     // load path.
     if (environment_.module_cache) server_options.module_cache = true;
+    // with_pipelining presets pair the pipelined client with the server's
+    // pipelined loop, which runs each session's calls in order.
+    if (environment_.pipeline.enabled) server_options.serve.workers = 1;
     server_ = std::make_unique<core::CricketServer>(*node_, server_options);
     auto conn = env::connect(environment_, node_->clock());
     server_thread_ = server_->serve_async(std::move(conn.server));
     core::ClientConfig client_config{.flavor = environment_.flavor,
-                                     .profile = environment_.profile};
+                                     .profile = environment_.profile,
+                                     .pipeline = environment_.pipeline};
     client_config.module_cache = environment_.module_cache;
     api_ = std::make_unique<core::RemoteCudaApi>(
         std::move(conn.guest), node_->clock(), std::move(client_config));

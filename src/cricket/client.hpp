@@ -2,13 +2,25 @@
 //
 // This is the component the paper inserts "between GPU applications and the
 // CUDA libraries" (Fig. 1/3): it implements the same CudaApi the local
-// driver facade implements, but forwards every call as an ONC RPC through
-// the generated stubs — so an application is recompiled against the same
-// interface and runs unmodified on a unikernel, a VM, or bare Linux,
-// exactly like the paper's Rust applications (§3.5).
+// driver facade implements, but forwards every call as an ONC RPC — so an
+// application is recompiled against the same interface and runs unmodified
+// on a unikernel, a VM, or bare Linux, exactly like the paper's Rust
+// applications (§3.5).
+//
+// One client, two RPC cores, chosen by ClientConfig::pipeline:
+//   * off (default, the paper's stack): rpc::RpcClient, one synchronous
+//     RPC per CUDA call ("the RPC library is single-threaded", §4.2);
+//   * on: rpcflow::AsyncRpcChannel. Calls whose only result is an error
+//     code — kernel launches, H2D copies, event records — are put on the
+//     wire (or into the small-call batcher) and return at once; a failure
+//     surfaces at the next synchronization point, exactly as real CUDA
+//     reports asynchronous errors. Calls that return values still block for
+//     their own reply. The server runs each session's calls in order
+//     (ServeOptions workers = 1), so results are bit-identical.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 
 #include "cricket/transfer.hpp"
@@ -16,10 +28,11 @@
 #include "cudart/local_api.hpp"
 #include "env/environment.hpp"
 #include "rpc/client.hpp"
+#include "rpcflow/future.hpp"
 #include "sim/sim_clock.hpp"
 
-namespace cricket::proto {
-class CRICKETVERSClient;
+namespace cricket::rpcflow {
+class AsyncRpcChannel;
 }
 
 namespace cricket::core {
@@ -31,17 +44,23 @@ struct ClientConfig {
   /// Cost profile of the client's network path (used for out-of-band lane
   /// charging; the main connection's transport charges itself).
   vnet::NetworkProfile profile = {};
+  /// RPC core: off = one synchronous RPC per call (the paper's client); on
+  /// = pipelined channel with this depth and optional small-call batching.
+  /// Typically env::Environment::pipeline.
+  env::PipelineConfig pipeline = {};
   /// Bulk memcpy strategy (§4.2). Unikernels support only kRpcArgs.
   TransferMethod transfer = TransferMethod::kRpcArgs;
   /// Required for kSharedMemory: the co-located GPU node whose address
   /// space the client shares.
   cuda::GpuNode* local_node = nullptr;
-  /// Per-call deadlines + idempotency-aware retry for the underlying RPC
-  /// client (faultnet). Only enable `retry.assume_at_most_once` against a
-  /// server running the duplicate-request cache — otherwise a retried
-  /// kernel launch could execute twice.
+  /// Per-call deadlines + idempotency-aware retry for the RPC core
+  /// (faultnet). Only enable `retry.assume_at_most_once` against a server
+  /// running the duplicate-request cache — otherwise a retried kernel
+  /// launch could execute twice.
   rpc::RetryPolicy retry{};
-  /// Fresh transport to the same server after a connection-level failure.
+  /// Fresh transport to the same server after a connection-level failure
+  /// or a migration redirect (point it at a migrate::RedirectingConnector
+  /// to follow a live-migrated tenant to its new server).
   std::function<std::unique_ptr<rpc::Transport>()> reconnect{};
   /// Tenant identity presented to a multi-tenant server: when non-empty,
   /// every call carries an AUTH_SYS credential with this machinename, and
@@ -55,9 +74,10 @@ struct ClientConfig {
   std::uint32_t auth_stamp = 0;
   /// Two-phase module-load negotiation against the server's
   /// content-addressed cache (env::with_module_cache): module_load first
-  /// sends the FNV-64 image hash; only a cache miss pays for the full
-  /// upload. Transparent — a server without the cache always answers
-  /// kCacheMiss and the client falls back, so it is safe to leave on.
+  /// sends the truncated SHA-256 image hash plus a proof of possession;
+  /// only a cache miss pays for the full upload. Transparent — a server
+  /// without the cache always answers kCacheMiss and the client falls back,
+  /// so it is safe to leave on.
   bool module_cache = false;
 };
 
@@ -66,6 +86,8 @@ struct ClientConfig {
 
 struct RemoteStats {
   std::uint64_t api_calls = 0;  // forwarded CUDA API calls (paper §4.1)
+  /// Of those, the fire-and-forget ones (pipelined core only).
+  std::uint64_t pipelined = 0;
   std::uint64_t bytes_to_device = 0;
   std::uint64_t bytes_from_device = 0;
   /// Module loads answered by the server's content-addressed cache, and
@@ -152,6 +174,11 @@ class RemoteCudaApi final : public cuda::CudaApi {
   cuda::Error checkpoint(const std::string& path);
   cuda::Error restore(const std::string& path);
 
+  /// Waits for every fire-and-forget call, folding any failure into the
+  /// sticky error, and returns it (kSuccess when clean). Serial clients have
+  /// nothing in flight, so this only reports the sticky error.
+  cuda::Error drain();
+
   /// Severs the connection; every subsequent call returns kRpcFailure.
   /// Models the GPU node vanishing under the client.
   void disconnect();
@@ -159,11 +186,13 @@ class RemoteCudaApi final : public cuda::CudaApi {
   [[nodiscard]] const RemoteStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ClientConfig& config() const noexcept { return config_; }
 
-  /// Non-success once the connection is declared unrecoverable (retry
+  /// kRpcFailure once the connection is declared unrecoverable (retry
   /// budget exhausted or the transport died with no reconnect path).
   /// Graceful degradation: every later call short-circuits to this error
   /// instead of hammering a dead link — the paper's unikernel guest keeps
-  /// running and sees a CUDA error code, not a crash.
+  /// running and sees a CUDA error code, not a crash. When pipelined it also
+  /// holds the first failure of a fire-and-forget call until the next
+  /// synchronization point reports (and clears) it.
   [[nodiscard]] cuda::Error sticky_error() const noexcept {
     return sticky_error_;
   }
@@ -171,15 +200,44 @@ class RemoteCudaApi final : public cuda::CudaApi {
  private:
   /// Forwards one CUDA API call: bumps counters, opens the kClientCall
   /// span (`name` is the stable "cuda.<entry point>" label), charges the
-  /// per-call flavor cost, and maps RPC failures to Error::kRpcFailure.
+  /// per-call flavor cost, runs `fn` (which issues the RPCs through
+  /// roundtrip) and maps RPC failures to CUDA errors.
   template <typename Fn>
   cuda::Error forward(const char* name, Fn&& fn);
+  /// Forwards `proc` and waits for its reply, handed to `consume`.
+  template <typename Res, typename Consume, typename... Args>
+  cuda::Error call(const char* name, std::uint32_t proc, Consume&& consume,
+                   const Args&... args);
+  /// Forwards a call whose only result is an error code: fire-and-forget
+  /// when pipelined (success means "queued"), `call` when serial.
+  template <typename... Args>
+  cuda::Error post(const char* name, std::uint32_t proc, const Args&... args);
+  /// A synchronization point: forwards `proc`, then reports the first error
+  /// since the previous one.
+  template <typename... Args>
+  cuda::Error sync_point(const char* name, std::uint32_t proc,
+                         const Args&... args);
+  /// One RPC on whichever core is active; throws like the core does.
+  template <typename Res, typename... Args>
+  Res roundtrip(std::uint32_t proc, const Args&... args);
+
+  /// The CUDA error an RPC-layer failure surfaces as. Quota and migration
+  /// rejections are per-call; a spent deadline or a dead transport makes
+  /// kRpcFailure sticky.
+  cuda::Error fail(const std::exception& e);
+  /// Records `err` as the pending sticky error unless one is already held.
+  void absorb(cuda::Error err);
+  /// Completes fire-and-forget calls oldest first, absorbing their errors:
+  /// those already answered, or with `all` every one (blocking).
+  void settle(bool all);
 
   sim::SimClock* clock_;
   ClientConfig config_;
   TransferLanes lanes_;
-  rpc::RpcClient rpc_;
-  std::unique_ptr<proto::CRICKETVERSClient> stub_;
+  // Exactly one core is set, per config_.pipeline.enabled.
+  std::unique_ptr<rpc::RpcClient> rpc_;
+  std::unique_ptr<rpcflow::AsyncRpcChannel> channel_;
+  std::deque<rpcflow::TypedFuture<std::int32_t>> pending_;
   RemoteStats stats_;
   cuda::Error sticky_error_ = cuda::Error::kSuccess;
 };

@@ -49,10 +49,10 @@ struct ClientFlavor {
   bool fast_rng = true;
 };
 
-/// RPC pipelining knob (the rpcflow subsystem). Off in every Table-1 preset:
-/// the paper's stack is strictly one synchronous RPC at a time (§4.2), and
-/// the reproduction benches must keep matching it. Opt in per experiment
-/// with `with_pipelining`.
+/// RPC pipelining knob (ClientConfig::pipeline picks RemoteCudaApi's RPC
+/// core). Off in every Table-1 preset: the paper's stack is strictly one
+/// synchronous RPC at a time (§4.2), and the reproduction benches must keep
+/// matching it. Opt in per experiment with `with_pipelining`.
 struct PipelineConfig {
   bool enabled = false;
   /// Max calls in flight on the connection before the client blocks.
@@ -81,9 +81,9 @@ struct Environment {
   /// server->guest draw independent but reproducible fault streams.
   std::string faults{};
   /// Two-phase module-load negotiation against the server's
-  /// content-addressed module cache (modcache): clients probe by FNV-64
-  /// image hash before uploading. Off by default: Table-1 presets measure
-  /// the historical upload path.
+  /// content-addressed module cache (modcache): clients probe by truncated
+  /// SHA-256 image hash (plus a proof of possession) before uploading. Off
+  /// by default: Table-1 presets measure the historical upload path.
   bool module_cache = false;
 };
 

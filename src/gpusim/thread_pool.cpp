@@ -69,10 +69,12 @@ void ThreadPool::parallel_for_chunks(
         sim::MutexLock lock(err_mu);
         if (!first_error) first_error = std::current_exception();
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        sim::MutexLock lock(done_mu);
+      // Decrement under done_mu: once the waiter can see zero it returns
+      // and destroys done_mu/done_cv, so the last task must be done with
+      // them by then.
+      sim::MutexLock lock(done_mu);
+      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
         done_cv.notify_all();
-      }
     });
   }
   (void)launched;

@@ -14,9 +14,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Backoff before retry `k` (1-based): capped exponential with deterministic
-/// jitter in [0.5, 1) so two clients sharing a seed never sync their retries
-/// per-call but a re-run with the same seed reproduces the exact schedule.
+}  // namespace
+
+/// Jitter lies in [0.5, 1) so two clients sharing a seed never sync their
+/// retries per-call, while a re-run with the same seed reproduces the exact
+/// schedule.
 std::chrono::nanoseconds backoff_for(const RetryPolicy& policy,
                                      std::uint32_t xid, std::uint32_t k) {
   const std::uint32_t shift = std::min(k - 1, 30u);
@@ -28,7 +30,42 @@ std::chrono::nanoseconds backoff_for(const RetryPolicy& policy,
       static_cast<std::int64_t>(static_cast<double>(step.count()) * factor));
 }
 
-}  // namespace
+std::optional<RpcError> reply_error(const ReplyMsg& reply) {
+  if (reply.stat == ReplyStat::kDenied) {
+    return RpcError(RpcError::Kind::kDenied,
+                    reply.reject_stat == RejectStat::kRpcMismatch
+                        ? "call denied: RPC version mismatch"
+                        : "call denied: authentication error");
+  }
+  switch (reply.accept_stat) {
+    case AcceptStat::kSuccess:
+      return std::nullopt;
+    case AcceptStat::kProgUnavail:
+      return RpcError(RpcError::Kind::kProgUnavail, "program unavailable");
+    case AcceptStat::kProgMismatch: {
+      const auto mi = reply.mismatch.value_or(MismatchInfo{});
+      return RpcError(RpcError::Kind::kProgMismatch,
+                      "program version mismatch (supported " +
+                          std::to_string(mi.low) + ".." +
+                          std::to_string(mi.high) + ")");
+    }
+    case AcceptStat::kProcUnavail:
+      return RpcError(RpcError::Kind::kProcUnavail, "procedure unavailable");
+    case AcceptStat::kGarbageArgs:
+      return RpcError(RpcError::Kind::kGarbageArgs,
+                      "server could not decode arguments");
+    case AcceptStat::kSystemErr:
+      return RpcError(RpcError::Kind::kSystemErr, "server system error");
+    case AcceptStat::kQuotaExceeded:
+      return RpcError(RpcError::Kind::kQuotaExceeded,
+                      std::string("tenant quota exceeded: ") +
+                          quota_reason_name(reply.quota_reason));
+    case AcceptStat::kMigrating:
+      return RpcError(RpcError::Kind::kMigrating,
+                      "tenant is being migrated; retry via reconnect");
+  }
+  return RpcError(RpcError::Kind::kBadReply, "invalid accept_stat");
+}
 
 RpcClient::RpcClient(std::unique_ptr<Transport> transport, std::uint32_t prog,
                      std::uint32_t vers, ClientOptions options)
@@ -45,43 +82,6 @@ RpcClient::~RpcClient() {
     transport_->shutdown();
   } catch (...) {  // destructor must not throw
   }
-}
-
-std::vector<std::uint8_t> RpcClient::interpret_reply(const ReplyMsg& reply) {
-  if (reply.stat == ReplyStat::kDenied) {
-    throw RpcError(RpcError::Kind::kDenied,
-                   reply.reject_stat == RejectStat::kRpcMismatch
-                       ? "call denied: RPC version mismatch"
-                       : "call denied: authentication error");
-  }
-  switch (reply.accept_stat) {
-    case AcceptStat::kSuccess:
-      return reply.results;
-    case AcceptStat::kProgUnavail:
-      throw RpcError(RpcError::Kind::kProgUnavail, "program unavailable");
-    case AcceptStat::kProgMismatch: {
-      const auto mi = reply.mismatch.value_or(MismatchInfo{});
-      throw RpcError(RpcError::Kind::kProgMismatch,
-                     "program version mismatch (supported " +
-                         std::to_string(mi.low) + ".." +
-                         std::to_string(mi.high) + ")");
-    }
-    case AcceptStat::kProcUnavail:
-      throw RpcError(RpcError::Kind::kProcUnavail, "procedure unavailable");
-    case AcceptStat::kGarbageArgs:
-      throw RpcError(RpcError::Kind::kGarbageArgs,
-                     "server could not decode arguments");
-    case AcceptStat::kSystemErr:
-      throw RpcError(RpcError::Kind::kSystemErr, "server system error");
-    case AcceptStat::kQuotaExceeded:
-      throw RpcError(RpcError::Kind::kQuotaExceeded,
-                     std::string("tenant quota exceeded: ") +
-                         quota_reason_name(reply.quota_reason));
-    case AcceptStat::kMigrating:
-      throw RpcError(RpcError::Kind::kMigrating,
-                     "tenant is being migrated; retry via reconnect");
-  }
-  throw RpcError(RpcError::Kind::kBadReply, "invalid accept_stat");
 }
 
 bool RpcClient::try_reconnect() {
@@ -139,14 +139,15 @@ std::vector<std::uint8_t> RpcClient::call_raw(
   if (!reader_.read_record(reply_record))
     throw TransportError("connection closed while awaiting reply");
   stats_.bytes_received += reply_record.size();
-  const ReplyMsg reply = decode_reply(reply_record);
+  ReplyMsg reply = decode_reply(reply_record);
   if (reply.xid != call.xid)
     throw RpcError(RpcError::Kind::kBadReply,
                    "reply xid mismatch: expected " + std::to_string(call.xid) +
                        ", got " + std::to_string(reply.xid) +
                        " (out-of-order or stale reply on a synchronous "
                        "channel)");
-  return interpret_reply(reply);
+  if (auto error = reply_error(reply)) throw *error;
+  return std::move(reply.results);
 }
 
 std::vector<std::uint8_t> RpcClient::call_raw_retrying(const CallMsg& call) {
@@ -231,21 +232,19 @@ std::vector<std::uint8_t> RpcClient::call_raw_retrying(const CallMsg& call) {
         }
         if (reply.xid == call.xid) {
           (void)transport_->set_recv_timeout(std::chrono::nanoseconds::zero());
-          try {
-            return interpret_reply(reply);
-          } catch (const RpcError& e) {
-            if (e.kind() != RpcError::Kind::kMigrating) throw;
-            // The tenant is frozen for live migration; the call never
-            // executed, so re-sending the same xid is safe regardless of
-            // idempotency. Reconnect through the factory so the re-send
-            // follows the migration's redirect once it flips, then fall to
-            // the backoff/retry decision below.
-            ++stats_.migrating_redirects;
-            migrating_total.inc();
-            migrating = true;
-            (void)try_reconnect();
-            break;
-          }
+          auto error = reply_error(reply);
+          if (!error) return std::move(reply.results);
+          if (error->kind() != RpcError::Kind::kMigrating) throw *error;
+          // The tenant is frozen for live migration; the call never
+          // executed, so re-sending the same xid is safe regardless of
+          // idempotency. Reconnect through the factory so the re-send
+          // follows the migration's redirect once it flips, then fall to
+          // the backoff/retry decision below.
+          ++stats_.migrating_redirects;
+          migrating_total.inc();
+          migrating = true;
+          (void)try_reconnect();
+          break;
         }
         // A slow answer to an attempt we already gave up on (or to an
         // earlier call whose retry was answered from the server's duplicate

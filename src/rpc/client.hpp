@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,6 +80,17 @@ struct RetryPolicy {
   bool assume_at_most_once = true;
   std::vector<std::uint32_t> idempotent_procs{};
 };
+
+/// Backoff before retry `k` (1-based) under `policy`: capped exponential
+/// with deterministic jitter. Shared by both RPC cores (RpcClient and
+/// rpcflow::AsyncRpcChannel) so they retry on the same schedule.
+[[nodiscard]] std::chrono::nanoseconds backoff_for(const RetryPolicy& policy,
+                                                   std::uint32_t xid,
+                                                   std::uint32_t k);
+
+/// The RpcError a reply stands for, or nullopt when the call was accepted
+/// and succeeded (its results are then the call's results).
+[[nodiscard]] std::optional<RpcError> reply_error(const ReplyMsg& reply);
 
 struct ClientOptions {
   std::uint32_t max_fragment = RecordWriter::kDefaultMaxFragment;
@@ -158,8 +170,6 @@ class RpcClient {
 
  private:
   std::vector<std::uint8_t> call_raw_retrying(const CallMsg& call);
-  /// Maps an accepted/denied reply to results-or-RpcError.
-  static std::vector<std::uint8_t> interpret_reply(const ReplyMsg& reply);
   [[nodiscard]] bool try_reconnect();
 
   std::unique_ptr<Transport> transport_;

@@ -226,6 +226,32 @@ ReplyMsg ServiceRegistry::execute(const CallMsg& call) const {
 
 namespace {
 
+/// What one received record asks of a serve loop: a reply to send without
+/// dispatch, a call to dispatch, or neither (the record is dropped).
+struct Intake {
+  std::optional<ReplyMsg> rejected;
+  std::optional<CallMsg> call;
+};
+
+/// The intake step both serve loops share: the wire-size pre-flight
+/// (GARBAGE_ARGS for out-of-bounds lengths) and tenant admission (typed
+/// quota/auth/migrating rejections) answer without ever decoding; anything
+/// admitted is decoded. A record that does not decode is dropped — a server
+/// cannot reply without an xid it trusts — and its admission slot released.
+Intake intake(const ServiceRegistry& registry,
+              std::span<const std::uint8_t> record) {
+  if (auto rejected = registry.preflight(record))
+    return {std::move(rejected), std::nullopt};
+  if (auto rejected = registry.admit(record))
+    return {std::move(rejected), std::nullopt};
+  try {
+    return {std::nullopt, decode_call(record)};
+  } catch (const std::exception&) {
+    registry.admission_complete();
+    return {};
+  }
+}
+
 /// Pipelined connection service: reader (caller thread) -> bounded worker
 /// pool -> coalescing writer thread. Replies complete out of order when
 /// more than one worker runs; the client matches them by xid.
@@ -266,50 +292,24 @@ class PipelinedConnection {
       } catch (const TransportError&) {
         return;  // peer vanished mid-record; nothing to reply to
       }
-      if (auto rejected = registry_->preflight(record)) {
-        // Out-of-bounds length: answer GARBAGE_ARGS without ever decoding.
-        // The reply takes the normal writer path (and an in-flight slot) so
-        // ordering and backpressure stay uniform.
-        sim::MutexLock lock(mu_);
-        while (in_flight_ >= options_.max_in_flight && !write_failed_)
-          slots_cv_.wait(mu_);
-        if (write_failed_) return;
-        ++in_flight_;
-        ready_.push_back(encode_reply(*rejected));
-        lock.unlock();
-        reply_cv_.notify_one();
-        continue;
-      }
-      if (auto rejected = registry_->admit(record)) {
-        // Tenant over quota (or unauthenticated): answer the typed
-        // rejection without decoding, through the normal writer path.
-        sim::MutexLock lock(mu_);
-        while (in_flight_ >= options_.max_in_flight && !write_failed_)
-          slots_cv_.wait(mu_);
-        if (write_failed_) return;
-        ++in_flight_;
-        ready_.push_back(encode_reply(*rejected));
-        lock.unlock();
-        reply_cv_.notify_one();
-        continue;
-      }
-      CallMsg call;
-      try {
-        call = decode_call(record);
-      } catch (const std::exception&) {
-        // Not parseable as a call: drop it, but release the admission slot
-        // the record was granted above.
-        registry_->admission_complete();
-        continue;
-      }
+      Intake step = intake(*registry_, record);
+      if (!step.rejected && !step.call) continue;
+      // Rejections take the normal writer path (and an in-flight slot) so
+      // ordering and backpressure stay uniform.
       sim::MutexLock lock(mu_);
       while (in_flight_ >= options_.max_in_flight && !write_failed_)
         slots_cv_.wait(mu_);
       if (write_failed_) return;
       ++in_flight_;
-      queue_.push_back(std::move(call));
-      lock.unlock();
-      work_cv_.notify_one();
+      if (step.rejected) {
+        ready_.push_back(encode_reply(*step.rejected));
+        lock.unlock();
+        reply_cv_.notify_one();
+      } else {
+        queue_.push_back(std::move(*step.call));
+        lock.unlock();
+        work_cv_.notify_one();
+      }
     }
   }
 
@@ -414,38 +414,20 @@ void serve_serial(const ServiceRegistry& registry, Transport& transport,
     } catch (const TransportError&) {
       return;  // peer vanished mid-record; nothing to reply to
     }
-    if (auto rejected = registry.preflight(record)) {
-      // Out-of-bounds length: answer GARBAGE_ARGS without ever decoding.
-      try {
-        writer.write_record(encode_reply(*rejected));
-      } catch (const TransportError&) {
-        return;
-      }
-      continue;
-    }
-    if (auto rejected = registry.admit(record)) {
-      // Tenant over quota (or unauthenticated): answer the typed rejection
-      // without decoding; the connection stays up.
-      try {
-        writer.write_record(encode_reply(*rejected));
-      } catch (const TransportError&) {
-        return;
-      }
-      continue;
-    }
+    Intake step = intake(registry, record);
+    if (!step.rejected && !step.call) continue;
     ReplyMsg reply;
-    try {
-      const CallMsg call = decode_call(record);
-      const obs::ScopedXid trace_xid(call.xid);
-      obs::Span span(obs::Layer::kServerDispatch, nullptr, call.args.size());
-      reply = registry.dispatch(call);
-    } catch (const std::exception&) {
-      // Not parseable as a call: drop it (a real server also cannot reply
-      // without an xid it trusts), releasing its admission slot.
+    if (step.rejected) {
+      reply = std::move(*step.rejected);
+    } else {
+      {
+        const obs::ScopedXid trace_xid(step.call->xid);
+        obs::Span span(obs::Layer::kServerDispatch, nullptr,
+                       step.call->args.size());
+        reply = registry.dispatch(*step.call);
+      }
       registry.admission_complete();
-      continue;
     }
-    registry.admission_complete();
     try {
       const obs::ScopedXid trace_xid(reply.xid);
       obs::Span span(obs::Layer::kServerReply);

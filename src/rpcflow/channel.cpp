@@ -5,74 +5,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/rng.hpp"
 
 namespace cricket::rpcflow {
-
-namespace {
-
-/// Capped exponential backoff with deterministic jitter; mirrors the
-/// synchronous client's schedule (rpc/client.cpp) so the two retry layers
-/// behave identically under the same policy.
-std::chrono::nanoseconds backoff_for(const rpc::RetryPolicy& policy,
-                                     std::uint32_t xid, std::uint32_t k) {
-  const std::uint32_t shift = std::min(k - 1, 30u);
-  auto step = policy.backoff_base * (1u << shift);
-  step = std::min(step, policy.backoff_cap);
-  sim::Xoshiro256ss jitter(policy.seed ^ xid ^ k);
-  const double factor = 0.5 + 0.5 * jitter.next_double();
-  return std::chrono::nanoseconds(
-      static_cast<std::int64_t>(static_cast<double>(step.count()) * factor));
-}
-
-/// Maps a decoded reply to the caller-visible outcome: results on success,
-/// an RpcError otherwise (same classification as the synchronous client).
-std::exception_ptr reply_error(const rpc::ReplyMsg& reply) {
-  using rpc::RpcError;
-  if (reply.stat == rpc::ReplyStat::kDenied) {
-    return std::make_exception_ptr(RpcError(
-        RpcError::Kind::kDenied,
-        reply.reject_stat == rpc::RejectStat::kRpcMismatch
-            ? "call denied: RPC version mismatch"
-            : "call denied: authentication error"));
-  }
-  switch (reply.accept_stat) {
-    case rpc::AcceptStat::kSuccess:
-      return nullptr;
-    case rpc::AcceptStat::kProgUnavail:
-      return std::make_exception_ptr(
-          RpcError(RpcError::Kind::kProgUnavail, "program unavailable"));
-    case rpc::AcceptStat::kProgMismatch: {
-      const auto mi = reply.mismatch.value_or(rpc::MismatchInfo{});
-      return std::make_exception_ptr(RpcError(
-          RpcError::Kind::kProgMismatch,
-          "program version mismatch (supported " + std::to_string(mi.low) +
-              ".." + std::to_string(mi.high) + ")"));
-    }
-    case rpc::AcceptStat::kProcUnavail:
-      return std::make_exception_ptr(
-          RpcError(RpcError::Kind::kProcUnavail, "procedure unavailable"));
-    case rpc::AcceptStat::kGarbageArgs:
-      return std::make_exception_ptr(RpcError(
-          RpcError::Kind::kGarbageArgs, "server could not decode arguments"));
-    case rpc::AcceptStat::kSystemErr:
-      return std::make_exception_ptr(
-          RpcError(RpcError::Kind::kSystemErr, "server system error"));
-    case rpc::AcceptStat::kQuotaExceeded:
-      return std::make_exception_ptr(RpcError(
-          RpcError::Kind::kQuotaExceeded,
-          std::string("tenant quota exceeded: ") +
-              rpc::quota_reason_name(reply.quota_reason)));
-    case rpc::AcceptStat::kMigrating:
-      return std::make_exception_ptr(
-          RpcError(RpcError::Kind::kMigrating,
-                   "tenant is being migrated; retry via reconnect"));
-  }
-  return std::make_exception_ptr(
-      RpcError(RpcError::Kind::kBadReply, "invalid accept_stat"));
-}
-
-}  // namespace
 
 AsyncRpcChannel::AsyncRpcChannel(std::unique_ptr<rpc::Transport> transport,
                                  std::uint32_t prog, std::uint32_t vers,
@@ -294,7 +228,8 @@ void AsyncRpcChannel::retry_loop() {
       }
       ++call.attempts;
       call.expires = now + options_.retry.attempt_timeout +
-                     backoff_for(options_.retry, it->first, call.attempts - 1);
+                     rpc::backoff_for(options_.retry, it->first,
+                                      call.attempts - 1);
       resend.push_back(call.record);
       ++stats_.retries;
       retries_total.inc();
@@ -487,14 +422,15 @@ void AsyncRpcChannel::reader_loop() {
           ++stats_.replies;
           ++stats_.failed;
           lock.unlock();
-          promise.set_error(reply_error(reply));
+          promise.set_error(
+              std::make_exception_ptr(*rpc::reply_error(reply)));
           slots_cv_.notify_all();
           continue;
         }
       }
       migrating_total.inc();
       std::this_thread::sleep_for(
-          backoff_for(options_.retry, reply.xid, attempt - 1));
+          rpc::backoff_for(options_.retry, reply.xid, attempt - 1));
       sim::MutexLock lock(mu_);
       try {
         transport_->shutdown();
@@ -524,12 +460,12 @@ void AsyncRpcChannel::reader_loop() {
       // connect them to the issuing thread's spans.
       const obs::ScopedXid trace_xid(reply.xid);
       obs::instant(obs::Layer::kChanReply, nullptr, record.size());
-      if (auto error = reply_error(reply); error != nullptr) {
+      if (const auto error = rpc::reply_error(reply)) {
         {
           sim::MutexLock lock(mu_);
           ++stats_.failed;
         }
-        promise.set_error(std::move(error));
+        promise.set_error(std::make_exception_ptr(*error));
       } else {
         promise.set_value(std::move(reply.results));
       }

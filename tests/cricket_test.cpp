@@ -14,6 +14,7 @@
 #include "env/environment.hpp"
 #include "fatbin/cubin.hpp"
 #include "sim/rng.hpp"
+#include "workloads/kernels.hpp"
 
 namespace cricket::core {
 namespace {
@@ -575,6 +576,141 @@ TEST(Checkpoint, RpcCheckpointRestoreEndToEnd) {
   }
   thread.join();
 }
+
+// ------------------------ one client, serial or pipelined ------------------
+
+/// The same CUDA sequence through RemoteCudaApi with pipelining off (the
+/// paper's serial client) and on: every result and every api_calls / byte
+/// stat must match, so each is pinned to one value for both modes.
+class ClientModes : public ::testing::TestWithParam<bool> {
+ protected:
+  ~ClientModes() override {
+    apis_.clear();  // closes the connections; the sessions end
+    for (auto& t : threads_) t.join();
+  }
+
+  [[nodiscard]] static std::unique_ptr<cuda::GpuNode> make_node() {
+    auto node = cuda::GpuNode::make_a100();
+    workloads::register_sample_kernels(node->registry());
+    return node;
+  }
+
+  [[nodiscard]] ServerOptions server_options() const {
+    ServerOptions options;
+    options.checkpoint_dir = tmp_.path.string();
+    options.module_cache = true;
+    if (GetParam()) options.serve.workers = 1;
+    return options;
+  }
+
+  /// A client of `server` in the mode under test, with four lanes when
+  /// `config` asks for parallel sockets.
+  RemoteCudaApi& connect(cuda::GpuNode& node, CricketServer& server,
+                         ClientConfig config = {}) {
+    config.pipeline.enabled = GetParam();
+    auto [client_end, server_end] = rpc::make_pipe_pair();
+    TransferLanes client_lanes, server_lanes;
+    if (config.transfer == TransferMethod::kParallelSockets)
+      std::tie(client_lanes, server_lanes) = make_lane_pairs(4);
+    threads_.push_back(
+        server.serve_async(std::move(server_end), std::move(server_lanes)));
+    apis_.push_back(std::make_unique<RemoteCudaApi>(
+        std::move(client_end), node.clock(), std::move(config),
+        std::move(client_lanes)));
+    return *apis_.back();
+  }
+
+  TempDir tmp_;
+  // The checkpoint is taken on node_ and restored on the pristine node2_.
+  std::unique_ptr<cuda::GpuNode> node_ = make_node();
+  std::unique_ptr<cuda::GpuNode> node2_ = make_node();
+  CricketServer server_{*node_, server_options()};
+  CricketServer server2_{*node2_, server_options()};
+  std::vector<std::thread> threads_;
+  std::vector<std::unique_ptr<RemoteCudaApi>> apis_;
+};
+
+TEST_P(ClientModes, SameSequenceSameResultsAndStats) {
+  constexpr std::uint32_t n = 4096;
+  constexpr std::uint64_t kBytes = n * 4;
+  std::vector<float> a(n), b(n), sum(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    a[i] = static_cast<float>(i);
+    b[i] = 0.5f * static_cast<float>(i);
+    sum[i] = a[i] + b[i];
+  }
+  const auto as_bytes = [](const std::vector<float>& v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+    return std::vector<std::uint8_t>(p, p + v.size() * 4);
+  };
+  const auto image = workloads::sample_cubin();
+
+  auto& api = connect(*node_, server_, ClientConfig{.module_cache = true});
+  // Module load: the second load of the same image is a cache hit.
+  cuda::ModuleId mod = 0, again = 0;
+  ASSERT_EQ(api.module_load(mod, image), Error::kSuccess);
+  ASSERT_EQ(api.module_load(again, image), Error::kSuccess);
+  EXPECT_EQ(again, mod);
+  cuda::FuncId fn = 0;
+  ASSERT_EQ(api.module_get_function(fn, mod, workloads::kVectorAddKernel),
+            Error::kSuccess);
+
+  // malloc, H2D, vectorAdd, D2H compare.
+  cuda::DevPtr da = 0, db = 0, dc = 0;
+  ASSERT_EQ(api.malloc(da, kBytes), Error::kSuccess);
+  ASSERT_EQ(api.malloc(db, kBytes), Error::kSuccess);
+  ASSERT_EQ(api.malloc(dc, kBytes), Error::kSuccess);
+  ASSERT_EQ(api.memcpy_h2d(da, as_bytes(a)), Error::kSuccess);
+  ASSERT_EQ(api.memcpy_h2d(db, as_bytes(b)), Error::kSuccess);
+  cuda::ParamPacker params;
+  params.add_ptr(dc).add_ptr(da).add_ptr(db).add(n);
+  ASSERT_EQ(api.launch_kernel(fn, {n / 256, 1, 1}, {256, 1, 1}, 0,
+                              gpusim::kDefaultStream, params.bytes()),
+            Error::kSuccess);
+  std::vector<std::uint8_t> out(kBytes);
+  ASSERT_EQ(api.memcpy_d2h(out, dc), Error::kSuccess);
+  EXPECT_EQ(out, as_bytes(sum));
+
+  ASSERT_EQ(api.checkpoint("modes.ckpt"), Error::kSuccess);
+  EXPECT_EQ(api.drain(), Error::kSuccess);
+  EXPECT_EQ(api.stats().api_calls, 11u);
+  EXPECT_EQ(api.stats().pipelined, GetParam() ? 3u : 0u);
+  EXPECT_EQ(api.stats().bytes_to_device, 2 * kBytes);
+  EXPECT_EQ(api.stats().bytes_from_device, kBytes);
+  EXPECT_EQ(api.stats().module_cache_hits, 1u);
+  EXPECT_EQ(api.stats().module_bytes_saved, image.size());
+
+  // A copy striped over parallel-socket lanes, on a second connection.
+  auto& laned =
+      connect(*node_, server_,
+              ClientConfig{.transfer = TransferMethod::kParallelSockets});
+  std::vector<std::uint8_t> data(1 << 20);
+  sim::Xoshiro256ss(21).fill_bytes(data);
+  cuda::DevPtr p = 0;
+  ASSERT_EQ(laned.malloc(p, data.size()), Error::kSuccess);
+  ASSERT_EQ(laned.memcpy_h2d(p, data), Error::kSuccess);
+  std::vector<std::uint8_t> back(data.size());
+  ASSERT_EQ(laned.memcpy_d2h(back, p), Error::kSuccess);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(laned.stats().api_calls, 3u);
+  EXPECT_EQ(laned.stats().bytes_to_device, data.size());
+  EXPECT_EQ(laned.stats().bytes_from_device, data.size());
+
+  // Restore the checkpoint on the pristine node; the old pointer reads
+  // back the sum.
+  auto& restored = connect(*node2_, server2_);
+  ASSERT_EQ(restored.restore("modes.ckpt"), Error::kSuccess);
+  ASSERT_EQ(restored.memcpy_d2h(out, dc), Error::kSuccess);
+  EXPECT_EQ(out, as_bytes(sum));
+  EXPECT_EQ(restored.stats().api_calls, 2u);
+  EXPECT_EQ(restored.stats().bytes_from_device, kBytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SerialAndPipelined, ClientModes, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return info.param ? "Pipelined" : "Serial";
+    });
 
 }  // namespace
 }  // namespace cricket::core

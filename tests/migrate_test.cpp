@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "cricket/async_api.hpp"
 #include "cricket/checkpoint.hpp"
 #include "cricket/client.hpp"
 #include "cricket/server.hpp"
@@ -612,7 +611,6 @@ struct MigrateFixture : ::testing::Test {
 
   ~MigrateFixture() override {
     apis.clear();
-    async_apis.clear();
     mig_client.reset();
     if (mig_thread.joinable()) mig_thread.join();
     std::vector<std::thread> pending;
@@ -716,7 +714,6 @@ struct MigrateFixture : ::testing::Test {
   std::mutex threads_mu;
   std::vector<std::thread> threads;
   std::vector<std::unique_ptr<RemoteCudaApi>> apis;
-  std::vector<std::unique_ptr<core::AsyncRemoteCudaApi>> async_apis;
 };
 
 TEST_F(MigrateFixture, DrainFreezeRepliesTypedRetryableAndPreDecode) {
@@ -1012,13 +1009,14 @@ TEST_F(MigrateFixture, RefusedCommitReapsThePendingTransfer) {
 
 TEST_F(MigrateFixture, PipelinedChannelSurvivesMigration) {
   add_source("alice");
-  core::AsyncClientConfig config;
+  core::ClientConfig config;
+  config.pipeline.enabled = true;
   config.tenant = "alice";
   config.retry = deep_retry();
   config.reconnect = redirect->factory();
-  async_apis.push_back(std::make_unique<core::AsyncRemoteCudaApi>(
+  apis.push_back(std::make_unique<RemoteCudaApi>(
       redirect->dial(), source_node->clock(), config));
-  auto& api = *async_apis.back();
+  auto& api = *apis.back();
 
   cuda::ModuleId mod = 0;
   const auto image = fatbin::cubin_serialize(mark_image());

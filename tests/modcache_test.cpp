@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "cricket/async_api.hpp"
 #include "cricket/client.hpp"
 #include "cricket/server.hpp"
 #include "cudart/local_api.hpp"
@@ -756,11 +755,11 @@ TEST(ModcacheAsync, PipelinedClientNegotiatesTheSameProtocol) {
     auto conn = env::connect(environment, node->clock());
     auto thread = server.serve_async(std::move(conn.server));
     {
-      core::AsyncRemoteCudaApi api(
+      core::RemoteCudaApi api(
           std::move(conn.guest), node->clock(),
-          core::AsyncClientConfig{.flavor = environment.flavor,
-                                  .pipeline = environment.pipeline,
-                                  .module_cache = environment.module_cache});
+          core::ClientConfig{.flavor = environment.flavor,
+                             .pipeline = environment.pipeline,
+                             .module_cache = environment.module_cache});
       ASSERT_EQ(api.module_load(mod, image), Error::kSuccess);
       cuda::FuncId fn = 0;
       EXPECT_EQ(api.module_get_function(fn, mod, "cache_mark_7"),

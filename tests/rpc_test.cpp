@@ -326,17 +326,24 @@ TEST(RecordMarking, OversizeRecordRejected) {
 // The paper (§2) singles out fragmented-message support as the reason the
 // existing Rust onc_rpc crate was unusable for Cricket. Sweep fragment sizes
 // against payload sizes to prove reassembly is exact.
+//
+// ctest names each case by gtest's byte dump of the param, so the struct must
+// have no padding: uninitialised padding bytes made the names change from run
+// to run. A 64-bit `max_fragment` dumps the same bytes as a zero-padded
+// 32-bit one.
 struct FragmentCase {
-  std::uint32_t max_fragment;
+  std::uint64_t max_fragment;
   std::size_t payload;
 };
+static_assert(sizeof(FragmentCase) ==
+              sizeof(std::uint64_t) + sizeof(std::size_t));
 
 class RecordFragmentation : public ::testing::TestWithParam<FragmentCase> {};
 
 TEST_P(RecordFragmentation, ReassemblesExactly) {
   const auto [max_fragment, payload_size] = GetParam();
   auto [a, b] = make_pipe_pair(/*capacity_bytes=*/1 << 22);
-  RecordWriter writer(*a, max_fragment);
+  RecordWriter writer(*a, static_cast<std::uint32_t>(max_fragment));
   RecordReader reader(*b);
 
   sim::Xoshiro256ss rng(payload_size * 31 + max_fragment);

@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "cricket/async_api.hpp"
+#include "cricket/client.hpp"
 #include "cricket/server.hpp"
 #include "cudart/local_api.hpp"
 #include "env/environment.hpp"
@@ -395,10 +395,10 @@ class AsyncCricketTest : public ::testing::Test {
         env::make_environment(env::EnvKind::kNativeRust), 32, true);
     auto conn = env::connect(environment_, node_->clock());
     server_thread_ = server_->serve_async(std::move(conn.server));
-    api_ = std::make_unique<core::AsyncRemoteCudaApi>(
+    api_ = std::make_unique<core::RemoteCudaApi>(
         std::move(conn.guest), node_->clock(),
-        core::AsyncClientConfig{.flavor = environment_.flavor,
-                                .pipeline = environment_.pipeline});
+        core::ClientConfig{.flavor = environment_.flavor,
+                           .pipeline = environment_.pipeline});
   }
 
   void TearDown() override {
@@ -410,7 +410,7 @@ class AsyncCricketTest : public ::testing::Test {
   std::unique_ptr<core::CricketServer> server_;
   env::Environment environment_;
   std::thread server_thread_;
-  std::unique_ptr<core::AsyncRemoteCudaApi> api_;
+  std::unique_ptr<core::RemoteCudaApi> api_;
 };
 
 TEST_F(AsyncCricketTest, MatrixMulIsBitIdenticalThroughThePipeline) {

@@ -107,7 +107,8 @@ TEST_F(SessionManagerTest, ReRegistrationKeepsIdAndUpdatesQuota) {
 
 TEST_F(SessionManagerTest, ShardingIsConsistentAndInRange) {
   std::vector<TenantId> ids;
-  for (int i = 0; i < 32; ++i) ids.push_back(add("t" + std::to_string(i)));
+  for (int i = 0; i < 32; ++i)
+    ids.push_back(add(std::string("t").append(std::to_string(i))));
   for (const auto id : ids) {
     const auto dev = tenants.shard_device(id);
     EXPECT_LT(dev, 4u);

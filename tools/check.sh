@@ -50,6 +50,9 @@
 #                    release races between concurrent client sessions, the
 #                    two-phase load fallback under drop faults, and the LZ/
 #                    fatbin hostile-stream corpus
+#  18. release     plain -DCMAKE_BUILD_TYPE=Release build + full ctest — the
+#                    -O3 build sees warnings (GCC's -Werror=restrict and
+#                    friends) that RelWithDebInfo does not
 #
 # Stages whose toolchain is unavailable (no clang, no clang-tidy) report
 # SKIP and do not fail the gate. The first FAIL stops the run; a summary
@@ -376,6 +379,17 @@ if should_continue; then
   else
     record modcache "SKIP (build-tsan missing — run tsan stage first)"
   fi
+fi
+
+# ---------------------------------------------------------------- 18: release
+# The configuration a user gets from `cmake -DCMAKE_BUILD_TYPE=Release`: the
+# optimizer's extra flow analysis raises warnings the RelWithDebInfo stages
+# never see, and -Werror turns them into build failures.
+if should_continue; then
+  run_stage release bash -c '
+    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release &&
+    cmake --build build-release -j "$0" &&
+    ctest --test-dir build-release --output-on-failure -j "$0"' "$JOBS"
 fi
 
 # ------------------------------------------------------------------ summary
