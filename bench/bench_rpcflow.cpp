@@ -1,9 +1,9 @@
-// rpcflow pipelining bench: serial vs pipelined vs pipelined+batched.
+// RPC pipelining bench: serial vs pipelined vs pipelined+batched.
 //
 // The paper's forwarding stack is one synchronous RPC per CUDA call (§4.2),
 // so Figure 6a's no-payload micro-calls pay a full round trip each. This
-// bench quantifies what the opt-in rpcflow subsystem buys back on the same
-// simulated wire: for every Table-1 environment it storms N no-payload
+// bench quantifies what the RPC client's opt-in pipelining buys back on the
+// same simulated wire: for every Table-1 environment it storms N no-payload
 // calls (cudaSetDevice(0), a fire-and-forget proc) through
 //
 //   serial      — the stock RemoteCudaApi, one synchronous RPC per call

@@ -9,7 +9,6 @@
 #include "modcache/module_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rpcflow/channel.hpp"
 
 namespace cricket::core {
 
@@ -45,6 +44,18 @@ obs::Counter& api_calls_total(const char* mode) {
                                          "CUDA API calls forwarded over RPC");
 }
 
+/// The RPC client options `config` implies.
+rpc::ClientOptions rpc_options(const ClientConfig& config) {
+  return {.max_outstanding =
+              config.pipeline.enabled ? config.pipeline.depth : 1u,
+          .batch = {.enabled = config.pipeline.batching},
+          // Reply pre-flight: reject replies larger than the procedure's
+          // proven result bound before they are decoded.
+          .bounds = proto::bounds::kProcBounds,
+          .retry = config.retry,
+          .reconnect = config.reconnect};
+}
+
 }  // namespace
 
 std::uint32_t next_auth_stamp() noexcept {
@@ -57,34 +68,16 @@ std::uint32_t next_auth_stamp() noexcept {
 RemoteCudaApi::RemoteCudaApi(std::unique_ptr<rpc::Transport> transport,
                              sim::SimClock& clock, ClientConfig config,
                              TransferLanes lanes)
-    : clock_(&clock), config_(std::move(config)), lanes_(std::move(lanes)) {
-  if (config_.pipeline.enabled) {
-    rpcflow::ChannelOptions options;
-    options.max_outstanding = config_.pipeline.depth;
-    options.batch.enabled = config_.pipeline.batching;
-    // Reply pre-flight: reject replies larger than the procedure's proven
-    // result bound before they are decoded.
-    options.bounds = proto::bounds::kProcBounds;
-    options.retry = config_.retry;
-    options.reconnect = config_.reconnect;
-    channel_ = std::make_unique<rpcflow::AsyncRpcChannel>(
-        std::move(transport), proto::CRICKET_PROG, proto::CRICKETVERS_VERS,
-        std::move(options));
-  } else {
-    rpc_ = std::make_unique<rpc::RpcClient>(
-        std::move(transport), proto::CRICKET_PROG, proto::CRICKETVERS_VERS,
-        rpc::ClientOptions{.retry = config_.retry,
-                           .reconnect = config_.reconnect});
-  }
+    : clock_(&clock),
+      config_(std::move(config)),
+      lanes_(std::move(lanes)),
+      rpc_(std::move(transport), proto::CRICKET_PROG, proto::CRICKETVERS_VERS,
+           rpc_options(config_)) {
   if (config_.tenant.empty()) return;
   rpc::AuthSysParms cred;
   cred.machinename = config_.tenant;
   cred.stamp = config_.auth_stamp != 0 ? config_.auth_stamp : next_auth_stamp();
-  if (rpc_) {
-    rpc_->set_credential(cred.to_opaque());
-  } else {
-    channel_->set_credential(cred.to_opaque());
-  }
+  rpc_.set_credential(cred.to_opaque());
 }
 
 RemoteCudaApi::~RemoteCudaApi() {
@@ -97,10 +90,40 @@ RemoteCudaApi::~RemoteCudaApi() {
 
 template <typename Res, typename... Args>
 Res RemoteCudaApi::roundtrip(std::uint32_t proc, const Args&... args) {
-  if (rpc_) return rpc_->call<Res>(proc, args...);
   // The server runs this session's calls in order, so by the time this
   // reply is in hand every earlier fire-and-forget call has executed.
-  return channel_->call<Res>(proc, args...);
+  return rpc_.call<Res>(proc, args...);
+}
+
+template <typename Stripes>
+Error RemoteCudaApi::parallel_copy(const char* name, std::uint32_t proc,
+                                   cuda::DevPtr ptr, std::uint64_t size,
+                                   Stripes&& stripes) {
+  if (lanes_.count() == 0) return Error::kInvalidValue;
+  if (lanes_shut_) return Error::kRpcFailure;
+  return forward(name, [&] {
+    std::atomic<bool> cancel{false};
+    bool moved = false;
+    std::thread lane_thread([&] { moved = stripes(cancel); });
+    Error err = Error::kRpcFailure;
+    std::exception_ptr failure;
+    try {
+      err = from_wire(roundtrip<std::int32_t>(
+          proc, ptr, size, static_cast<std::uint32_t>(lanes_.count())));
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    if (err != Error::kSuccess) {
+      // Refused, failed or never answered: the server may not move (or
+      // may have stopped moving) its side, so unblock ours.
+      cancel = true;
+      for (auto& lane : lanes_.lanes) lane->shutdown();
+    }
+    lane_thread.join();
+    lanes_shut_ = err != Error::kSuccess || !moved;
+    if (failure) std::rethrow_exception(failure);
+    return err == Error::kSuccess && !moved ? Error::kRpcFailure : err;
+  });
 }
 
 template <typename Fn>
@@ -112,7 +135,7 @@ Error RemoteCudaApi::forward(const char* name, Fn&& fn) {
   if (sticky_error_ == Error::kRpcFailure) return sticky_error_;
   static obs::Counter& sync_calls = api_calls_total("sync");
   static obs::Counter& blocking_calls = api_calls_total("blocking");
-  (rpc_ ? sync_calls : blocking_calls).inc();
+  (config_.pipeline.enabled ? blocking_calls : sync_calls).inc();
   // The whole remote call, named after the CUDA entry point; the RPC layers
   // underneath contribute the nested serialize/send/wait spans.
   obs::Span span(obs::Layer::kClientCall, name);
@@ -134,7 +157,8 @@ Error RemoteCudaApi::call(const char* name, std::uint32_t proc,
 template <typename... Args>
 Error RemoteCudaApi::post(const char* name, std::uint32_t proc,
                           const Args&... args) {
-  if (rpc_) return call<std::int32_t>(name, proc, from_wire, args...);
+  if (!config_.pipeline.enabled)
+    return call<std::int32_t>(name, proc, from_wire, args...);
   ++stats_.api_calls;
   ++stats_.pipelined;
   if (sticky_error_ == Error::kRpcFailure) return sticky_error_;
@@ -143,7 +167,7 @@ Error RemoteCudaApi::post(const char* name, std::uint32_t proc,
   clock_->advance(config_.flavor.per_call_ns);
   settle(/*all=*/false);
   try {
-    pending_.push_back(channel_->call_async<std::int32_t>(proc, args...));
+    pending_.push_back(rpc_.call_async<std::int32_t>(proc, args...));
   } catch (const std::exception& e) {
     return fail(e);
   }
@@ -206,14 +230,14 @@ void RemoteCudaApi::settle(bool all) {
 }
 
 Error RemoteCudaApi::drain() {
-  if (channel_) channel_->drain();
+  rpc_.drain();
   settle(/*all=*/true);
   return sticky_error_;
 }
 
 void RemoteCudaApi::disconnect() {
   sticky_error_ = Error::kRpcFailure;
-  (rpc_ ? rpc_->transport() : channel_->transport()).shutdown();
+  rpc_.transport().shutdown();
 }
 
 Error RemoteCudaApi::get_device_count(int& count) {
@@ -278,21 +302,14 @@ Error RemoteCudaApi::memcpy_h2d(cuda::DevPtr dst,
     case TransferMethod::kRpcArgs:
       return post("cuda.memcpy_h2d", proto::RPC_MEMCPY_H2D_PROC, dst,
                   bytes(src));
-    case TransferMethod::kParallelSockets: {
-      if (lanes_.count() == 0) return Error::kInvalidValue;
-      return forward("cuda.memcpy_h2d", [&] {
-        // Stripe concurrently with the RPC: the server handler starts
-        // draining the lanes when it receives the call.
-        std::thread sender(
-            [&] { send_striped(lanes_, src, config_.profile, *clock_); });
-        const auto err = from_wire(roundtrip<std::int32_t>(
-            proto::RPC_TRANSFER_BEGIN_H2D_PROC, dst,
-            static_cast<std::uint64_t>(src.size()),
-            static_cast<std::uint32_t>(lanes_.count())));
-        sender.join();
-        return err;
-      });
-    }
+    case TransferMethod::kParallelSockets:
+      // Stripe concurrently with the RPC: the server handler starts
+      // draining the lanes when it receives the call.
+      return parallel_copy(
+          "cuda.memcpy_h2d", proto::RPC_TRANSFER_BEGIN_H2D_PROC, dst,
+          src.size(), [&](const std::atomic<bool>&) {
+            return send_striped(lanes_, src, config_.profile, *clock_);
+          });
     case TransferMethod::kSharedMemory: {
       // GPUdirect/shared-memory class transfer: no buffer, no wire — the
       // client writes device memory directly (local GPU only, §4.2), after
@@ -319,19 +336,12 @@ Error RemoteCudaApi::memcpy_d2h(std::span<std::uint8_t> dst,
           "cuda.memcpy_d2h", proto::RPC_MEMCPY_D2H_PROC,
           [&](const proto::data_result& res) { return copy_out(res, dst); },
           src, static_cast<std::uint64_t>(dst.size()));
-    case TransferMethod::kParallelSockets: {
-      if (lanes_.count() == 0) return Error::kInvalidValue;
-      return forward("cuda.memcpy_d2h", [&] {
-        std::thread receiver(
-            [&] { recv_striped(lanes_, dst, config_.profile, *clock_); });
-        const auto err = from_wire(roundtrip<std::int32_t>(
-            proto::RPC_TRANSFER_BEGIN_D2H_PROC, src,
-            static_cast<std::uint64_t>(dst.size()),
-            static_cast<std::uint32_t>(lanes_.count())));
-        receiver.join();
-        return err;
-      });
-    }
+    case TransferMethod::kParallelSockets:
+      return parallel_copy(
+          "cuda.memcpy_d2h", proto::RPC_TRANSFER_BEGIN_D2H_PROC, src,
+          dst.size(), [&](const std::atomic<bool>& cancel) {
+            return recv_striped(lanes_, dst, config_.profile, *clock_, cancel);
+          });
     case TransferMethod::kSharedMemory: {
       if (!config_.local_node) return Error::kInvalidValue;
       (void)drain();

@@ -7,15 +7,17 @@
 // on a unikernel, a VM, or bare Linux, exactly like the paper's Rust
 // applications (§3.5).
 //
-// One client, two RPC cores, chosen by ClientConfig::pipeline:
-//   * off (default, the paper's stack): rpc::RpcClient, one synchronous
-//     RPC per CUDA call ("the RPC library is single-threaded", §4.2);
-//   * on: rpcflow::AsyncRpcChannel. Calls whose only result is an error
-//     code — kernel launches, H2D copies, event records — are put on the
-//     wire (or into the small-call batcher) and return at once; a failure
-//     surfaces at the next synchronization point, exactly as real CUDA
-//     reports asynchronous errors. Calls that return values still block for
-//     their own reply. The server runs each session's calls in order
+// Every call goes through one rpc::RpcClient, whose window is set by
+// ClientConfig::pipeline:
+//   * off (default, the paper's stack): max_outstanding 1, one synchronous
+//     RPC per CUDA call on the caller's thread ("the RPC library is
+//     single-threaded", §4.2);
+//   * on: max_outstanding = pipeline.depth. Calls whose only result is an
+//     error code — kernel launches, H2D copies, event records — are put on
+//     the wire (or into the small-call batcher) and return at once; a
+//     failure surfaces at the next synchronization point, exactly as real
+//     CUDA reports asynchronous errors. Calls that return values still block
+//     for their own reply. The server runs each session's calls in order
 //     (ServeOptions workers = 1), so results are bit-identical.
 #pragma once
 
@@ -28,12 +30,7 @@
 #include "cudart/local_api.hpp"
 #include "env/environment.hpp"
 #include "rpc/client.hpp"
-#include "rpcflow/future.hpp"
 #include "sim/sim_clock.hpp"
-
-namespace cricket::rpcflow {
-class AsyncRpcChannel;
-}
 
 namespace cricket::core {
 
@@ -44,8 +41,8 @@ struct ClientConfig {
   /// Cost profile of the client's network path (used for out-of-band lane
   /// charging; the main connection's transport charges itself).
   vnet::NetworkProfile profile = {};
-  /// RPC core: off = one synchronous RPC per call (the paper's client); on
-  /// = pipelined channel with this depth and optional small-call batching.
+  /// RPC window: off = one synchronous RPC per call (the paper's client);
+  /// on = this many calls in flight with optional small-call batching.
   /// Typically env::Environment::pipeline.
   env::PipelineConfig pipeline = {};
   /// Bulk memcpy strategy (§4.2). Unikernels support only kRpcArgs.
@@ -86,7 +83,7 @@ struct ClientConfig {
 
 struct RemoteStats {
   std::uint64_t api_calls = 0;  // forwarded CUDA API calls (paper §4.1)
-  /// Of those, the fire-and-forget ones (pipelined core only).
+  /// Of those, the fire-and-forget ones (pipelined only).
   std::uint64_t pipelined = 0;
   std::uint64_t bytes_to_device = 0;
   std::uint64_t bytes_from_device = 0;
@@ -217,7 +214,16 @@ class RemoteCudaApi final : public cuda::CudaApi {
   template <typename... Args>
   cuda::Error sync_point(const char* name, std::uint32_t proc,
                          const Args&... args);
-  /// One RPC on whichever core is active; throws like the core does.
+  /// A parallel-socket copy: `stripes(cancel)` moves this side of the
+  /// payload over the lanes on its own thread while the begin call `proc`
+  /// has the server move the other side. After any failure the lanes may
+  /// hold part of a payload, so they are shut, and every later parallel
+  /// copy fails with kRpcFailure.
+  template <typename Stripes>
+  cuda::Error parallel_copy(const char* name, std::uint32_t proc,
+                            cuda::DevPtr ptr, std::uint64_t size,
+                            Stripes&& stripes);
+  /// One RPC, waiting for its reply; throws like the RPC client does.
   template <typename Res, typename... Args>
   Res roundtrip(std::uint32_t proc, const Args&... args);
 
@@ -234,10 +240,9 @@ class RemoteCudaApi final : public cuda::CudaApi {
   sim::SimClock* clock_;
   ClientConfig config_;
   TransferLanes lanes_;
-  // Exactly one core is set, per config_.pipeline.enabled.
-  std::unique_ptr<rpc::RpcClient> rpc_;
-  std::unique_ptr<rpcflow::AsyncRpcChannel> channel_;
-  std::deque<rpcflow::TypedFuture<std::int32_t>> pending_;
+  bool lanes_shut_ = false;
+  rpc::RpcClient rpc_;
+  std::deque<rpc::TypedFuture<std::int32_t>> pending_;
   RemoteStats stats_;
   cuda::Error sticky_error_ = cuda::Error::kSuccess;
 };

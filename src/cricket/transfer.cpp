@@ -4,6 +4,13 @@
 
 namespace cricket::core {
 
+namespace {
+
+/// How often a lane waiting in recv_striped looks at its cancel flag.
+constexpr auto kCancelPoll = std::chrono::milliseconds(5);
+
+}  // namespace
+
 std::pair<TransferLanes, TransferLanes> make_lane_pairs(
     std::size_t n, std::size_t capacity_bytes) {
   TransferLanes client, server;
@@ -31,7 +38,7 @@ std::vector<std::pair<std::size_t, std::size_t>> stripe(std::size_t total,
   return parts;
 }
 
-void send_striped(TransferLanes& lanes, std::span<const std::uint8_t> data,
+bool send_striped(TransferLanes& lanes, std::span<const std::uint8_t> data,
                   const vnet::NetworkProfile& profile, sim::SimClock& clock) {
   const auto parts = stripe(data.size(), lanes.count());
   // Aggregate charge: lane threads run concurrently on distinct cores, so
@@ -42,33 +49,56 @@ void send_striped(TransferLanes& lanes, std::span<const std::uint8_t> data,
                                                                   lanes.count())) +
                 vnet::wire_time(profile, data.size()));
 
+  std::atomic<bool> ok{true};
   std::vector<std::thread> threads;
   threads.reserve(lanes.count());
   for (std::size_t i = 0; i < lanes.count(); ++i) {
     const auto [off, len] = parts[i];
     threads.emplace_back([&, i, off = off, len = len] {
-      if (len > 0) lanes.lanes[i]->send(data.subspan(off, len));
+      try {
+        if (len > 0) lanes.lanes[i]->send(data.subspan(off, len));
+      } catch (const rpc::TransportError&) {
+        ok = false;
+      }
     });
   }
   for (auto& t : threads) t.join();
+  return ok;
 }
 
-void recv_striped(TransferLanes& lanes, std::span<std::uint8_t> out,
-                  const vnet::NetworkProfile& profile, sim::SimClock& clock) {
+bool recv_striped(TransferLanes& lanes, std::span<std::uint8_t> out,
+                  const vnet::NetworkProfile& profile, sim::SimClock& clock,
+                  const std::atomic<bool>& cancel) {
   const auto parts = stripe(out.size(), lanes.count());
   clock.advance(vnet::rx_cpu_cost(profile, out.size()) /
                 static_cast<sim::Nanos>(
                     std::max<std::size_t>(1, lanes.count())));
 
+  std::atomic<bool> ok{true};
   std::vector<std::thread> threads;
   threads.reserve(lanes.count());
   for (std::size_t i = 0; i < lanes.count(); ++i) {
     const auto [off, len] = parts[i];
     threads.emplace_back([&, i, off = off, len = len] {
-      if (len > 0) lanes.lanes[i]->recv_exact(out.subspan(off, len));
+      rpc::Transport& lane = *lanes.lanes[i];
+      (void)lane.set_recv_timeout(kCancelPoll);
+      try {
+        for (std::size_t got = 0; got < len;) {
+          try {
+            const std::size_t n = lane.recv(out.subspan(off + got, len - got));
+            if (n == 0) throw rpc::TransportError("lane closed mid-stripe");
+            got += n;
+          } catch (const rpc::TransportTimeout&) {
+            if (cancel) throw;
+          }
+        }
+      } catch (const rpc::TransportError&) {
+        ok = false;
+      }
     });
   }
   for (auto& t : threads) t.join();
+  return ok;
 }
 
 void gather_striped(TransferLanes& lanes, std::span<std::uint8_t> out) {

@@ -14,6 +14,7 @@
 // shared memory's zero-copy behaviour; see DESIGN.md.)
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -52,13 +53,17 @@ struct TransferLanes {
 
 /// Client side: stripes `data` across the lanes with one thread per lane.
 /// Charges `profile` TX cost scaled by 1/lanes (the threads overlap) plus
-/// one wire traversal.
-void send_striped(TransferLanes& lanes, std::span<const std::uint8_t> data,
+/// one wire traversal. Returns false when a lane failed (e.g. was shut
+/// under a blocked send).
+bool send_striped(TransferLanes& lanes, std::span<const std::uint8_t> data,
                   const vnet::NetworkProfile& profile, sim::SimClock& clock);
 
-/// Client side: receives a stripe sent by `recv_striped`'s peer.
-void recv_striped(TransferLanes& lanes, std::span<std::uint8_t> out,
-                  const vnet::NetworkProfile& profile, sim::SimClock& clock);
+/// Client side: receives a stripe sent by `scatter_striped`. Returns false
+/// when a lane failed or `cancel` was raised while a lane waited for data
+/// (lanes are polled through set_recv_timeout).
+bool recv_striped(TransferLanes& lanes, std::span<std::uint8_t> out,
+                  const vnet::NetworkProfile& profile, sim::SimClock& clock,
+                  const std::atomic<bool>& cancel);
 
 /// Server side: gathers a striped payload (no cost charging — the server's
 /// native stack cost is folded into the client-side aggregate).

@@ -87,7 +87,7 @@ struct Environment {
   bool module_cache = false;
 };
 
-/// Returns a copy of `environment` with rpcflow pipelining switched on.
+/// Returns a copy of `environment` with RPC pipelining switched on.
 [[nodiscard]] Environment with_pipelining(Environment environment,
                                           std::uint32_t depth = 32,
                                           bool batching = true);

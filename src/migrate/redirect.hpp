@@ -1,12 +1,12 @@
 // The client-visible half of a migration: a redirecting connection factory.
 //
 // Clients are constructed with a reconnect factory (ClientConfig::reconnect
-// / ChannelOptions::reconnect). Pointing that factory at a
+// / rpc::ClientOptions::reconnect). Pointing that factory at a
 // RedirectingConnector makes it a level of indirection the control plane
 // can flip: the MigrationCoordinator atomically swaps the dial target at
 // commit time, and the very next reconnect — typically triggered by the
 // source server's kMigrating reply — lands on the target server, where the
-// channel's xid re-submission and the migrated duplicate-request cache
+// client's xid re-submission and the migrated duplicate-request cache
 // preserve exactly-once execution. This stands in for the service-discovery
 // update a production fleet would push.
 #pragma once
@@ -45,7 +45,7 @@ class RedirectingConnector {
     return factory ? factory() : nullptr;
   }
 
-  /// Hand this to ClientConfig::reconnect / ChannelOptions::reconnect. The
+  /// Hand this to ClientConfig::reconnect / ClientOptions::reconnect. The
   /// connector must outlive every client holding the returned factory.
   [[nodiscard]] Factory factory() {
     return [this] { return dial(); };

@@ -1,7 +1,7 @@
 // Cross-layer span tracing keyed by RPC xid.
 //
 // A remote CUDA call crosses six subsystems (cudart facade → cricket client
-// → rpcflow channel → rpc transport/vnet → server dispatch → gpusim); this
+// → rpc client core → rpc transport/vnet → server dispatch → gpusim); this
 // header gives each layer a one-line way to mark its slice of the call:
 //
 //   obs::Span span(obs::Layer::kVnetTx, nullptr, frame_bytes);
@@ -39,9 +39,9 @@ enum class Layer : std::uint8_t {
   kClientCall,       // cricket client: whole remote API call
   kClientSerialize,  // cricket/rpc client: XDR-encode the call
   kClientWait,       // rpc client: wait for + decode the reply
-  kChanSend,         // rpcflow channel: enqueue/send a call record
-  kChanFlush,        // rpcflow batcher: flush coalesced records
-  kChanReply,        // rpcflow channel: reply matched to its future
+  kChanSend,         // rpc client: send (or enqueue) a call record
+  kChanFlush,        // rpc call batcher: flush coalesced records
+  kChanReply,        // rpc client: reply matched to its future
   kNetTx,            // host-side shaped transport TX
   kNetRx,            // host-side shaped transport RX
   kVnetTx,           // virtio-net guest transport TX

@@ -1,8 +1,7 @@
 #include "rpc/client.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
+#include <cstdio>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -12,7 +11,16 @@ namespace cricket::rpc {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+/// Each client counter is registered (and counted) at exactly one site.
+obs::Counter& counter(const char* name, const char* help) {
+  return obs::Registry::global().counter(name, {}, help);
+}
+
+/// The xid: the first word of every reply, readable before decode.
+std::uint32_t peek_xid(std::span<const std::uint8_t> record) {
+  return (std::uint32_t{record[0]} << 24) | (std::uint32_t{record[1]} << 16) |
+         (std::uint32_t{record[2]} << 8) | std::uint32_t{record[3]};
+}
 
 }  // namespace
 
@@ -70,51 +78,119 @@ std::optional<RpcError> reply_error(const ReplyMsg& reply) {
 RpcClient::RpcClient(std::unique_ptr<Transport> transport, std::uint32_t prog,
                      std::uint32_t vers, ClientOptions options)
     : transport_(std::move(transport)),
-      writer_(*transport_, options.max_fragment),
+      writer_(*transport_),
       reader_(*transport_),
       prog_(prog),
       vers_(vers),
-      next_xid_(options.initial_xid),
-      options_(std::move(options)) {}
+      options_(std::move(options)),
+      next_xid_(options_.initial_xid) {
+  if (options_.max_outstanding <= 1) return;  // depth 1 starts no thread
+  batcher_ = std::make_shared<CallBatcher>(*transport_, options_.batch);
+  reader_thread_ = std::thread([this] { reader_loop(); });
+  if (options_.retry.enabled)
+    retry_thread_ = std::thread([this] { retry_loop(); });
+}
 
 RpcClient::~RpcClient() {
+  {
+    sim::MutexLock lock(mu_);
+    stopping_ = true;
+  }
+  retry_cv_.notify_all();
+  if (retry_thread_.joinable()) retry_thread_.join();
+  // Push out anything still buffered, then half-close: the server drains,
+  // replies and closes its side, which ends the reader loop (failing every
+  // remaining future; with stopping_ set it will not reconnect).
+  batcher_.reset();
   try {
+    sim::MutexLock lock(mu_);  // vs. the reader swapping transport_
     transport_->shutdown();
   } catch (...) {  // destructor must not throw
   }
+  if (reader_thread_.joinable()) reader_thread_.join();
 }
 
-bool RpcClient::try_reconnect() {
-  if (!options_.reconnect) return false;
-  std::unique_ptr<Transport> fresh;
-  try {
-    fresh = options_.reconnect();
-  } catch (const TransportError&) {
-    return false;  // server still down; the backoff loop will come back
-  }
-  if (!fresh) return false;
-  transport_ = std::move(fresh);
-  writer_ = RecordWriter(*transport_, options_.max_fragment);
-  reader_ = RecordReader(*transport_);
-  ++stats_.reconnects;
-  static obs::Counter& reconnects = obs::Registry::global().counter(
-      "cricket_rpc_reconnects_total", {},
-      "Client transport reconnects after connection failure");
-  reconnects.inc();
-  return true;
+void RpcClient::set_credential(OpaqueAuth cred) {
+  sim::MutexLock lock(mu_);
+  cred_ = std::move(cred);
 }
 
-std::vector<std::uint8_t> RpcClient::call_raw(
-    std::uint32_t proc, std::span<const std::uint8_t> args) {
+ReplyFuture RpcClient::call_raw_async(std::uint32_t proc,
+                                      std::span<const std::uint8_t> args) {
   CallMsg call;
-  call.xid = next_xid_++;
   call.prog = prog_;
   call.vers = vers_;
   call.proc = proc;
-  call.cred = cred_;
   call.args.assign(args.begin(), args.end());
 
-  if (options_.retry.enabled) return call_raw_retrying(call);
+  ReplyPromise promise;
+  ReplyFuture future(promise.state());
+  // A zero-deadline batcher has no background flusher, so blocking on a call
+  // it still holds would hang: the hook flags the misuse and flushes.
+  if (batcher_ && options_.batch.enabled &&
+      options_.batch.deadline.count() == 0) {
+    promise.state()->on_block =
+        [weak = std::weak_ptr<CallBatcher>(batcher_)] {
+          const auto batcher = weak.lock();
+          if (!batcher || batcher->buffered() == 0) return;
+          static obs::Counter& unflushed =
+              counter("cricket_batch_unflushed_waits_total",
+                      "Futures blocked on while calls sat unflushed in a "
+                      "zero-deadline batcher (caller should flush first)");
+          unflushed.inc();
+          std::fprintf(stderr,
+                       "rpc: flushing %u call(s) a zero-deadline batcher "
+                       "held under a blocking caller; flush() first\n",
+                       batcher->buffered());
+          try {
+            batcher->flush();
+          } catch (const TransportError&) {
+            // Dead transport: the reader fails the futures; nothing to do.
+          }
+        };
+  }
+  const RetryPolicy& policy = options_.retry;
+  {
+    sim::MutexLock lock(mu_);
+    if (batcher_ && pending_.size() >= options_.max_outstanding) {
+      // Push out calls the batcher may hold before waiting on their replies.
+      lock.unlock();
+      flush();
+      lock.lock();
+      while (!dead_ && pending_.size() >= options_.max_outstanding)
+        slots_cv_.wait(mu_);
+    }
+    if (dead_) {
+      promise.set_error(std::make_exception_ptr(
+          TransportError("client closed after a connection failure")));
+      return future;
+    }
+    call.xid = next_xid_++;
+    call.cred = cred_;
+    PendingCall entry;
+    entry.promise = promise;
+    entry.proc = proc;
+    // The reply pre-flight bound is decided now: a reply names only its xid.
+    if (const auto* b = find_proc_bounds(options_.bounds, prog_, vers_, proc);
+        b != nullptr && b->result_max != kUnboundedWireSize) {
+      entry.max_reply_bytes = b->result_max + kReplyHeaderMax;
+    }
+    entry.retryable =
+        policy.assume_at_most_once ||
+        std::find(policy.idempotent_procs.begin(),
+                  policy.idempotent_procs.end(),
+                  proc) != policy.idempotent_procs.end();
+    if (policy.enabled) {
+      const auto now = Clock::now();
+      if (policy.deadline > std::chrono::nanoseconds::zero())
+        entry.hard_deadline = now + policy.deadline;
+      entry.due = std::min(now + policy.attempt_timeout, entry.hard_deadline);
+    }
+    pending_.emplace(call.xid, std::move(entry));
+    ++stats_.calls;
+    stats_.max_in_flight = std::max(
+        stats_.max_in_flight, static_cast<std::uint32_t>(pending_.size()));
+  }
 
   const obs::ScopedXid trace_xid(call.xid);
   std::vector<std::uint8_t> record;
@@ -123,174 +199,341 @@ std::vector<std::uint8_t> RpcClient::call_raw(
     record = encode_call(call);
     span.set_arg(record.size());
   }
-  {
-    obs::Span span(obs::Layer::kChanSend, nullptr, record.size());
-    writer_.write_record(record);
+  if (policy.enabled) {
+    sim::MutexLock lock(mu_);
+    // The entry can already be gone (failed by a racing disconnect).
+    if (const auto it = pending_.find(call.xid); it != pending_.end())
+      it->second.record = record;
   }
-  stats_.bytes_sent += record.size();
-  ++stats_.calls;
-
-  const obs::Span wait_span(obs::Layer::kClientWait);
-  std::vector<std::uint8_t> reply_record;
-  // This channel never has more than one call outstanding, so the reply xid
-  // must match the call xid exactly; anything else is a misbehaving peer (or
-  // a desynchronized stream) and silently skipping it would only turn the
-  // protocol violation into a hard-to-diagnose hang one call later.
-  if (!reader_.read_record(reply_record))
-    throw TransportError("connection closed while awaiting reply");
-  stats_.bytes_received += reply_record.size();
-  ReplyMsg reply = decode_reply(reply_record);
-  if (reply.xid != call.xid)
-    throw RpcError(RpcError::Kind::kBadReply,
-                   "reply xid mismatch: expected " + std::to_string(call.xid) +
-                       ", got " + std::to_string(reply.xid) +
-                       " (out-of-order or stale reply on a synchronous "
-                       "channel)");
-  if (auto error = reply_error(reply)) throw *error;
-  return std::move(reply.results);
+  send(record);
+  if (batcher_) {
+    retry_cv_.notify_all();  // the retry thread arms the new call's timer
+  } else {
+    await(future);
+  }
+  return future;
 }
 
-std::vector<std::uint8_t> RpcClient::call_raw_retrying(const CallMsg& call) {
-  static obs::Counter& retries_total = obs::Registry::global().counter(
-      "cricket_rpc_retries_total", {},
-      "RPC call attempts beyond the first (timeout or transport failure)");
-  static obs::Counter& deadline_total = obs::Registry::global().counter(
-      "cricket_rpc_deadline_exceeded_total", {},
-      "RPC calls failed after exhausting their deadline/attempt budget");
-  static obs::Counter& stale_total = obs::Registry::global().counter(
-      "cricket_rpc_stale_replies_total", {},
-      "Replies for an older xid dropped while awaiting a retried call");
-  static obs::Counter& migrating_total = obs::Registry::global().counter(
-      "cricket_rpc_migrating_redirects_total", {},
-      "kMigrating rejections absorbed by the retry layer (call re-sent "
-      "through the reconnect factory)");
-
-  const RetryPolicy& policy = options_.retry;
-  const bool retryable =
-      policy.assume_at_most_once ||
-      std::find(policy.idempotent_procs.begin(), policy.idempotent_procs.end(),
-                call.proc) != policy.idempotent_procs.end();
-
-  const obs::ScopedXid trace_xid(call.xid);
-  std::vector<std::uint8_t> record;
-  {
-    obs::Span span(obs::Layer::kClientSerialize);
-    record = encode_call(call);
-    span.set_arg(record.size());
-  }
-  ++stats_.calls;
-
-  const auto start = Clock::now();
-  const auto hard_deadline =
-      policy.deadline > std::chrono::nanoseconds::zero()
-          ? start + policy.deadline
-          : Clock::time_point::max();
-
-  auto give_up = [&](const char* why) -> RpcError {
-    ++stats_.deadline_exceeded;
-    deadline_total.inc();
-    return RpcError(RpcError::Kind::kDeadlineExceeded,
-                    "proc " + std::to_string(call.proc) + " xid " +
-                        std::to_string(call.xid) + ": " + why);
-  };
-
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    bool sent = false;
-    bool migrating = false;
-    try {
-      obs::Span span(obs::Layer::kChanSend, nullptr, record.size());
+void RpcClient::send(std::span<const std::uint8_t> record) {
+  try {
+    const obs::Span span(obs::Layer::kChanSend, nullptr, record.size());
+    if (batcher_) {
+      batcher_->append(record);
+    } else {
       writer_.write_record(record);
-      sent = true;
-      stats_.bytes_sent += record.size();
-
-      auto timeout = policy.attempt_timeout;
-      if (hard_deadline != Clock::time_point::max()) {
-        const auto remaining = hard_deadline - Clock::now();
-        if (remaining <= std::chrono::nanoseconds::zero())
-          throw give_up("deadline exceeded before reply");
-        timeout = std::min<std::chrono::nanoseconds>(timeout, remaining);
-      }
-      (void)transport_->set_recv_timeout(timeout);
-
-      const obs::Span wait_span(obs::Layer::kClientWait);
-      std::vector<std::uint8_t> reply_record;
-      for (;;) {
-        if (!reader_.read_record(reply_record))
-          throw TransportError("connection closed while awaiting reply");
-        stats_.bytes_received += reply_record.size();
-        ReplyMsg reply;
-        try {
-          reply = decode_reply(reply_record);
-        } catch (const RpcFormatError&) {
-          // Corrupted-in-flight reply (framing intact, content garbage —
-          // what a checksum failure looks like above the record layer).
-          // Drop it; the attempt timeout will re-send if ours was the
-          // victim.
-          continue;
-        } catch (const xdr::XdrError&) {
-          continue;
-        }
-        if (reply.xid == call.xid) {
-          (void)transport_->set_recv_timeout(std::chrono::nanoseconds::zero());
-          auto error = reply_error(reply);
-          if (!error) return std::move(reply.results);
-          if (error->kind() != RpcError::Kind::kMigrating) throw *error;
-          // The tenant is frozen for live migration; the call never
-          // executed, so re-sending the same xid is safe regardless of
-          // idempotency. Reconnect through the factory so the re-send
-          // follows the migration's redirect once it flips, then fall to
-          // the backoff/retry decision below.
-          ++stats_.migrating_redirects;
-          migrating_total.inc();
-          migrating = true;
-          (void)try_reconnect();
-          break;
-        }
-        // A slow answer to an attempt we already gave up on (or to an
-        // earlier call whose retry was answered from the server's duplicate
-        // cache). Drain it and keep waiting for ours.
-        if (static_cast<std::int32_t>(reply.xid - call.xid) < 0) {
-          ++stats_.stale_replies;
-          stale_total.inc();
-          continue;
-        }
-        throw RpcError(RpcError::Kind::kBadReply,
-                       "reply xid from the future: expected " +
-                           std::to_string(call.xid) + ", got " +
-                           std::to_string(reply.xid));
-      }
-    } catch (const TransportTimeout&) {
-      // Attempt expired; fall through to the retry decision.
-    } catch (const TransportError&) {
-      // Connection-level failure. A fresh transport lets the next attempt
-      // re-send the same xid; the server's duplicate cache keeps a
-      // possibly-executed call from running twice.
-      if (!try_reconnect()) {
-        if (sent && retryable && attempt < policy.max_attempts &&
-            options_.reconnect) {
-          // Reconnect refused (server briefly down): treat like a timeout
-          // and let backoff give it time to come back.
-        } else {
-          (void)transport_->set_recv_timeout(std::chrono::nanoseconds::zero());
-          throw;
-        }
-      }
     }
-
-    (void)transport_->set_recv_timeout(std::chrono::nanoseconds::zero());
-    // A migrating rejection is retryable even for non-idempotent procedures:
-    // admission refused the call before decode, so it has no side effects.
-    if (!retryable && !migrating)
-      throw give_up("non-idempotent procedure, not retrying");
-    if (attempt >= policy.max_attempts) throw give_up("attempts exhausted");
-
-    const auto pause = backoff_for(policy, call.xid, attempt);
-    if (Clock::now() + pause >= hard_deadline)
-      throw give_up("deadline exceeded during backoff");
-    ++stats_.retries;
-    retries_total.inc();
-    std::this_thread::sleep_for(pause);
+    sim::MutexLock lock(mu_);
+    stats_.bytes_sent += record.size();
+  } catch (const TransportError& e) {
+    // Above depth 1 the reader notices the dead connection and repairs it.
+    if (batcher_) return;
+    sim::MutexLock lock(mu_);
+    (void)reconnect_locked(Clock::now(), e.what());
   }
+}
+
+void RpcClient::await(const ReplyFuture& future) {
+  const obs::Span wait_span(obs::Layer::kClientWait);
+  std::vector<std::uint8_t> record;
+  while (!future.ready()) {
+    const auto now = Clock::now();
+    std::vector<std::vector<std::uint8_t>> resend;
+    Clock::time_point due;
+    bool backing_off = false;
+    {
+      sim::MutexLock lock(mu_);
+      resend = expire_locked(now, due);
+      if (pending_.empty()) break;  // completed (or failed) just now
+      backing_off = pending_.begin()->second.backing_off;
+    }
+    for (const auto& r : resend) send(r);
+    if (!resend.empty()) continue;
+    if (backing_off) {
+      std::this_thread::sleep_until(due);
+      continue;
+    }
+    if (due != Clock::time_point::max()) {
+      (void)transport_->set_recv_timeout(std::max<std::chrono::nanoseconds>(
+          due - now, std::chrono::microseconds(1)));
+    }
+    try {
+      if (!reader_.read_record(record))
+        throw TransportError("connection closed while awaiting reply");
+      on_record(record);
+    } catch (const TransportTimeout&) {
+      // The attempt expired; the next pass fires its timer.
+    } catch (const TransportError& e) {
+      sim::MutexLock lock(mu_);
+      (void)reconnect_locked(Clock::now(), e.what());
+    }
+  }
+  if (options_.retry.enabled)
+    (void)transport_->set_recv_timeout(std::chrono::nanoseconds::zero());
+}
+
+void RpcClient::reader_loop() {
+  sim::MutexLock lock(mu_);
+  BufferedRecordReader reader(*transport_);
+  std::uint64_t generation = generation_;
+  std::vector<std::uint8_t> record;
+  for (;;) {
+    lock.unlock();
+    std::string reason = "connection closed by peer";
+    bool got = false;
+    try {
+      got = reader.read_record(record);
+      if (got) on_record(record);
+    } catch (const TransportError& e) {
+      reason = e.what();
+    }
+    lock.lock();
+    if (!got && generation_ == generation &&
+        !reconnect_locked(Clock::now(), reason))
+      return;
+    if (generation_ != generation) {
+      // A reconnect replaced the connection: read the new one.
+      reader = BufferedRecordReader(*transport_);
+      generation = generation_;
+    }
+  }
+}
+
+void RpcClient::retry_loop() {
+  sim::MutexLock lock(mu_);
+  while (!stopping_ && !dead_) {
+    Clock::time_point due;
+    const auto resend = expire_locked(Clock::now(), due);
+    if (resend.empty()) {
+      if (due == Clock::time_point::max()) {
+        retry_cv_.wait(mu_);
+      } else {
+        retry_cv_.wait_until(mu_, due);
+      }
+      continue;
+    }
+    lock.unlock();
+    // Same xid again: the server's duplicate-request cache answers repeats.
+    for (const auto& record : resend) send(record);
+    try {
+      flush();
+    } catch (const TransportError&) {
+      // Dead transport: the reader repairs the connection or fails all.
+    }
+    lock.lock();
+  }
+}
+
+void RpcClient::on_record(std::span<const std::uint8_t> record) {
+  const auto now = Clock::now();
+  sim::MutexLock lock(mu_);
+  stats_.bytes_received += record.size();
+  // Pre-flight: the record is matched to its call, and to the call's proven
+  // result bound, before decode_reply parses or allocates anything.
+  const auto it = record.size() >= 4 ? pending_.find(peek_xid(record))
+                                     : pending_.end();
+  if (it != pending_.end() && record.size() > it->second.max_reply_bytes) {
+    ++stats_.preflight_rejected;
+    fail_locked(it, std::make_exception_ptr(RpcError(
+                        RpcError::Kind::kBadReply,
+                        "reply of " + std::to_string(record.size()) +
+                            " bytes exceeds the procedure's proven "
+                            "wire-size bound")));
+    return;
+  }
+  ReplyMsg reply;
+  try {
+    reply = decode_reply(record);
+  } catch (const std::exception&) {
+    // Framing intact, content garbage (a checksum failure, seen above the
+    // record layer). A call with retry budget left re-sends on timeout.
+    if (it == pending_.end()) {
+      ++stats_.unmatched;
+    } else if (retry_refusal(it->second, it->first, now, false) != nullptr) {
+      fail_locked(it, std::make_exception_ptr(RpcError(
+                          RpcError::Kind::kBadReply,
+                          "undecodable reply for xid " +
+                              std::to_string(it->first))));
+    }
+    return;
+  }
+  if (it == pending_.end()) {
+    if (reply.xid - options_.initial_xid < next_xid_ - options_.initial_xid) {
+      // A slow answer to an attempt already re-sent, or to a call already
+      // failed: drop it.
+      ++stats_.stale_replies;
+      static obs::Counter& stale = counter(
+          "cricket_rpc_stale_replies_total",
+          "Replies for an older xid dropped while awaiting a retried call");
+      stale.inc();
+      return;
+    }
+    // A reply to an xid never issued: the stream can not be trusted to
+    // answer the calls still pending.
+    const std::string what = "reply for xid " + std::to_string(reply.xid) +
+                             ", never issued (last issued " +
+                             std::to_string(next_xid_ - 1) + ")";
+    fail_all_locked([&] { return RpcError(RpcError::Kind::kBadReply, what); });
+    return;
+  }
+  ++stats_.replies;
+  // Carries the call's xid, so a viewer ties reader events to the caller.
+  const obs::ScopedXid trace_xid(reply.xid);
+  obs::instant(obs::Layer::kChanReply, nullptr, record.size());
+  auto error = reply_error(reply);
+  if (!error) {
+    it->second.promise.set_value(std::move(reply.results));
+    pending_.erase(it);
+    slots_cv_.notify_all();
+    return;
+  }
+  if (error->kind() == RpcError::Kind::kMigrating &&
+      retry_refusal(it->second, it->first, now, true) == nullptr) {
+    // The tenant is frozen for live migration and the call never executed:
+    // re-open through the factory, so the re-send after the backoff follows
+    // the migration's redirect once it flips.
+    ++stats_.migrating_redirects;
+    static obs::Counter& redirects = counter(
+        "cricket_rpc_migrating_redirects_total",
+        "kMigrating rejections absorbed by the retry layer (call re-sent "
+        "through the reconnect factory)");
+    redirects.inc();
+    (void)retry_or_fail_locked(it, now, /*migrating=*/true);
+    if (options_.reconnect) (void)reconnect_locked(now, "migration redirect");
+    return;
+  }
+  fail_locked(it, std::make_exception_ptr(std::move(*error)));
+}
+
+std::vector<std::vector<std::uint8_t>> RpcClient::expire_locked(
+    Clock::time_point now, Clock::time_point& next_due) {
+  std::vector<std::vector<std::uint8_t>> resend;
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    auto& call = it->second;
+    if (call.due > now) {
+      ++it;
+    } else if (!call.backing_off) {
+      it = retry_or_fail_locked(it, now);  // the attempt timed out
+    } else {
+      call.backing_off = false;
+      ++call.attempts;
+      call.due = std::min(now + options_.retry.attempt_timeout,
+                          call.hard_deadline);
+      if (!call.record.empty()) resend.push_back(call.record);
+      ++it;
+    }
+  }
+  next_due = Clock::time_point::max();
+  for (const auto& [xid, call] : pending_)
+    next_due = std::min(next_due, call.due);
+  return resend;
+}
+
+const char* RpcClient::retry_refusal(const PendingCall& call,
+                                     std::uint32_t xid, Clock::time_point now,
+                                     bool migrating) const {
+  const RetryPolicy& policy = options_.retry;
+  if (!policy.enabled) return "retry disabled";
+  // A migrating refusal came at admission, before the call could run.
+  if (!call.retryable && !migrating)
+    return "non-idempotent procedure, not retrying";
+  if (call.attempts >= policy.max_attempts) return "attempts exhausted";
+  if (now + backoff_for(policy, xid, call.attempts) >= call.hard_deadline)
+    return "deadline exceeded during backoff";
+  return nullptr;
+}
+
+RpcClient::Pending::iterator RpcClient::retry_or_fail_locked(
+    Pending::iterator it, Clock::time_point now, bool migrating) {
+  auto& call = it->second;
+  if (const char* why = retry_refusal(call, it->first, now, migrating)) {
+    ++stats_.deadline_exceeded;
+    static obs::Counter& exhausted = counter(
+        "cricket_rpc_deadline_exceeded_total",
+        "RPC calls failed after exhausting their deadline/attempt budget");
+    exhausted.inc();
+    return fail_locked(
+        it, std::make_exception_ptr(RpcError(
+                RpcError::Kind::kDeadlineExceeded,
+                "proc " + std::to_string(call.proc) + " xid " +
+                    std::to_string(it->first) + ": " + why)));
+  }
+  call.backing_off = true;
+  call.due = now + backoff_for(options_.retry, it->first, call.attempts);
+  ++stats_.retries;
+  static obs::Counter& retries = counter(
+      "cricket_rpc_retries_total",
+      "RPC call attempts beyond the first (timeout or transport failure)");
+  retries.inc();
+  retry_cv_.notify_all();
+  return std::next(it);
+}
+
+bool RpcClient::reconnect_locked(Clock::time_point now,
+                                 const std::string& reason) {
+  std::unique_ptr<Transport> fresh;
+  if (options_.retry.enabled && options_.reconnect && !stopping_) {
+    try {
+      fresh = options_.reconnect();
+    } catch (const std::exception&) {
+      // Server unreachable: the connection can not be repaired.
+    }
+  }
+  if (fresh == nullptr) {
+    dead_ = true;
+    const std::string what = "connection failed with calls in flight: " + reason;
+    fail_all_locked([&] { return TransportError(what); });
+    retry_cv_.notify_all();
+    return false;
+  }
+  if (batcher_) batcher_->rebind(*fresh);
+  transport_ = std::move(fresh);
+  writer_ = RecordWriter(*transport_);
+  reader_ = RecordReader(*transport_);
+  ++generation_;
+  ++stats_.reconnects;
+  static obs::Counter& reconnects =
+      counter("cricket_rpc_reconnects_total",
+              "Client transport reconnects after connection failure");
+  reconnects.inc();
+  // Calls with an attempt on the old connection lost it; the server's
+  // duplicate-request cache keeps a re-sent executed call from re-running.
+  for (auto it = pending_.begin(); it != pending_.end();)
+    it = it->second.backing_off ? std::next(it)
+                                : retry_or_fail_locked(it, now);
+  return true;
+}
+
+RpcClient::Pending::iterator RpcClient::fail_locked(Pending::iterator it,
+                                                    std::exception_ptr error) {
+  ++stats_.failed;
+  it->second.promise.set_error(std::move(error));
+  slots_cv_.notify_all();
+  return pending_.erase(it);
+}
+
+void RpcClient::flush() {
+  if (batcher_) batcher_->flush();
+}
+
+void RpcClient::drain() {
+  try {
+    flush();
+  } catch (const TransportError&) {
+    // The reader notices the dead transport and fails every pending call;
+    // drain's contract is only "everything completed", which still holds.
+  }
+  sim::MutexLock lock(mu_);
+  while (!pending_.empty()) slots_cv_.wait(mu_);
+}
+
+std::uint32_t RpcClient::outstanding() const {
+  sim::MutexLock lock(mu_);
+  return static_cast<std::uint32_t>(pending_.size());
+}
+
+ClientStats RpcClient::stats() const {
+  sim::MutexLock lock(mu_);
+  return stats_;
 }
 
 }  // namespace cricket::rpc

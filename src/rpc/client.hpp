@@ -1,23 +1,38 @@
-// ONC RPC client runtime: transaction management over a record-marked stream.
+// ONC RPC client core: transaction management over a record-marked stream.
 //
 // This is the C++ analogue of the paper's RPC-Lib client core: it depends
 // only on the Transport interface (as RPC-Lib depends only on Rust's std),
 // so the identical client runs over a plain pipe, a real TCP socket, or the
 // vnet-simulated unikernel network paths.
+//
+// ClientOptions::max_outstanding picks how calls are driven:
+//   * 1 (default, the paper's client: "the RPC library is single-threaded",
+//     §4.2): each call is written with RecordWriter and its reply read with
+//     RecordReader on the calling thread. No thread is started.
+//   * N > 1: up to N calls on the wire at once, through the small-call
+//     batcher; a reader thread matches replies, in any order, to their
+//     ReplyFutures by xid, and with retry on a retry thread re-sends.
+// Everything else exists once for both: xids, credential, encoding, reply
+// pre-flight and classification, the retry decision, reconnect and stats.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "rpc/batcher.hpp"
+#include "rpc/future.hpp"
 #include "rpc/record.hpp"
 #include "rpc/rpc_msg.hpp"
 #include "rpc/transport.hpp"
+#include "rpc/wire_bounds.hpp"
 #include "xdr/xdr.hpp"
 
 namespace cricket::rpc {
@@ -41,8 +56,9 @@ class RpcError : public std::runtime_error {
     kQuotaExceeded,
     /// Cricket extension: the tenant is frozen for live migration (see
     /// AcceptStat::kMigrating). The call did not execute; with retry
-    /// enabled the client re-sends the same xid through its reconnect
-    /// factory so the retry follows the migration's redirect.
+    /// enabled the client re-opens through its reconnect factory and
+    /// re-sends the same xid, so the retry follows the migration's
+    /// redirect.
     kMigrating,
   };
 
@@ -76,14 +92,16 @@ struct RetryPolicy {
   std::uint64_t seed = 0x5EEDF00Dull;
   /// True when the server runs the duplicate-request cache, making every
   /// procedure safe to retry. When false only `idempotent_procs` retry;
-  /// anything else fails with kDeadlineExceeded on the first timeout.
+  /// anything else fails with kDeadlineExceeded on the first timeout or
+  /// connection loss (a kMigrating refusal is always retryable: the call
+  /// never executed).
   bool assume_at_most_once = true;
   std::vector<std::uint32_t> idempotent_procs{};
 };
 
 /// Backoff before retry `k` (1-based) under `policy`: capped exponential
-/// with deterministic jitter. Shared by both RPC cores (RpcClient and
-/// rpcflow::AsyncRpcChannel) so they retry on the same schedule.
+/// with deterministic jitter. Retry k is sent this long after attempt k
+/// was lost.
 [[nodiscard]] std::chrono::nanoseconds backoff_for(const RetryPolicy& policy,
                                                    std::uint32_t xid,
                                                    std::uint32_t k);
@@ -93,35 +111,43 @@ struct RetryPolicy {
 [[nodiscard]] std::optional<RpcError> reply_error(const ReplyMsg& reply);
 
 struct ClientOptions {
-  std::uint32_t max_fragment = RecordWriter::kDefaultMaxFragment;
+  /// Calls on the wire at once: 1 drives each call on the caller's thread;
+  /// more pipelines them (see the file comment). call_async blocks at the
+  /// cap.
+  std::uint32_t max_outstanding = 1;
   /// Initial transaction id; subsequent calls increment.
   std::uint32_t initial_xid = 0x10000000;
+  /// Small-call coalescing when max_outstanding > 1 (off by default).
+  CallBatcher::Options batch{};
+  /// rpclgen-generated wire bounds (e.g. proto::bounds::kProcBounds): a
+  /// reply larger than its call's proven result bound fails the call with
+  /// kBadReply before decode. Must outlive the client (static tables do).
+  std::span<const ProcWireBounds> bounds{};
   RetryPolicy retry{};
-  /// Produces a fresh transport to the same server after a connection-level
-  /// failure. Without it a dead connection is fatal to the call.
+  /// Fresh transport to the same server, used with retry on after a lost
+  /// connection or a kMigrating refusal. Without it a dead link is fatal.
   std::function<std::unique_ptr<Transport>()> reconnect{};
 };
 
 /// Client statistics (useful for the paper's API-call accounting, §4.1).
 struct ClientStats {
   std::uint64_t calls = 0;
+  std::uint64_t replies = 0;    // replies matched to a pending call
+  std::uint64_t failed = 0;     // calls completed with an error
+  std::uint64_t unmatched = 0;  // undecodable records for no pending call
+  std::uint64_t stale_replies = 0;  // replies for an older xid, dropped
+  std::uint64_t preflight_rejected = 0;  // oversized replies failed undecoded
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
-  std::uint64_t retries = 0;
+  std::uint32_t max_in_flight = 0;  // high-water mark of pending calls
+  std::uint64_t retries = 0;        // attempts beyond the first
   std::uint64_t deadline_exceeded = 0;
   std::uint64_t reconnects = 0;
-  /// Replies for an older xid, skipped while retrying (the original answer
-  /// to a call we already re-sent).
-  std::uint64_t stale_replies = 0;
-  /// kMigrating rejections absorbed by the retry layer: the call was
-  /// re-sent (through the reconnect factory, following the migration's
-  /// redirect) instead of failing.
-  std::uint64_t migrating_redirects = 0;
+  std::uint64_t migrating_redirects = 0;  // kMigrating refusals re-sent
 };
 
-/// Synchronous RPC client bound to one (program, version) on one transport.
-/// Not thread-safe: one outstanding call at a time, matching the paper's
-/// single-threaded RPC usage ("the RPC library is single-threaded", §4.2).
+/// RPC client bound to one (program, version) on one transport. At
+/// max_outstanding 1 one caller at a time; above it any number.
 class RpcClient {
  public:
   RpcClient(std::unique_ptr<Transport> transport, std::uint32_t prog,
@@ -132,55 +158,154 @@ class RpcClient {
   RpcClient& operator=(const RpcClient&) = delete;
 
   /// Sets the credential sent with subsequent calls (default AUTH_NONE).
-  void set_credential(OpaqueAuth cred) { cred_ = std::move(cred); }
+  void set_credential(OpaqueAuth cred) CRICKET_EXCLUDES(mu_);
 
-  /// Issues `proc` with pre-encoded arguments; returns raw encoded results.
-  /// Throws RpcError / TransportError on failure.
+  /// Issues `proc` with pre-encoded arguments; the future holds the raw
+  /// results, or RpcError / TransportError. At max_outstanding 1 the call
+  /// has completed on return; above it this blocks only at a full window.
+  [[nodiscard]] ReplyFuture call_raw_async(std::uint32_t proc,
+                                           std::span<const std::uint8_t> args)
+      CRICKET_EXCLUDES(mu_);
+
+  /// Typed call_raw_async: XDR-encodes `args...`, decodes one `Res` at get().
+  template <typename Res, typename... Args>
+  [[nodiscard]] TypedFuture<Res> call_async(std::uint32_t proc,
+                                            const Args&... args) {
+    return TypedFuture<Res>(call_raw_async(proc, encode_args(args...)));
+  }
+
+  /// Issues `proc`, flushes and waits for its results; throws RpcError /
+  /// TransportError on failure. Calls issued earlier stay in flight.
   std::vector<std::uint8_t> call_raw(std::uint32_t proc,
-                                     std::span<const std::uint8_t> args);
+                                     std::span<const std::uint8_t> args) {
+    auto future = call_raw_async(proc, args);
+    flush();
+    return future.get();
+  }
 
-  /// Typed convenience: XDR-encodes `args...` in order, decodes one `Res`.
+  /// Typed call: XDR-encodes `args...` in order, decodes one `Res`.
   template <typename Res, typename... Args>
   Res call(std::uint32_t proc, const Args&... args) {
-    xdr::Encoder enc;
-    (xdr_encode(enc, args), ...);
-    const auto results = call_raw(proc, enc.bytes());
-    xdr::Decoder dec(results);
-    Res res{};
-    xdr_decode(dec, res);
-    dec.expect_exhausted();
-    return res;
+    auto future = call_async<Res>(proc, args...);
+    flush();
+    return future.get();
   }
 
   /// Typed call with void result.
   template <typename... Args>
   void call_void(std::uint32_t proc, const Args&... args) {
-    xdr::Encoder enc;
-    (xdr_encode(enc, args), ...);
-    const auto results = call_raw(proc, enc.bytes());
-    if (!results.empty())
+    if (!call_raw(proc, encode_args(args...)).empty())
       throw RpcError(RpcError::Kind::kBadReply, "expected void result");
   }
 
   /// RFC 5531 null procedure — liveness ping.
   void ping() { call_void(0); }
 
-  [[nodiscard]] const ClientStats& stats() const noexcept { return stats_; }
+  /// Sends anything the batcher is still holding.
+  void flush();
+
+  /// Flushes, then blocks until every outstanding call has completed
+  /// (successfully or not).
+  void drain() CRICKET_EXCLUDES(mu_);
+
+  [[nodiscard]] std::uint32_t outstanding() const CRICKET_EXCLUDES(mu_);
+  [[nodiscard]] ClientStats stats() const CRICKET_EXCLUDES(mu_);
   [[nodiscard]] Transport& transport() noexcept { return *transport_; }
 
  private:
-  std::vector<std::uint8_t> call_raw_retrying(const CallMsg& call);
-  [[nodiscard]] bool try_reconnect();
+  using Clock = std::chrono::steady_clock;
+
+  /// A call awaiting its reply. `max_reply_bytes` is fixed at call time,
+  /// since a reply names only its xid. With retry on, `record` keeps the
+  /// encoded call for re-sending under the same xid, and `due` is when the
+  /// attempt times out or, while `backing_off`, when the next is sent.
+  struct PendingCall {
+    ReplyPromise promise;
+    std::uint32_t proc = 0;
+    std::uint64_t max_reply_bytes = kUnboundedWireSize;
+    bool retryable = true;
+    std::vector<std::uint8_t> record;
+    std::uint32_t attempts = 1;
+    bool backing_off = false;
+    Clock::time_point due = Clock::time_point::max();
+    Clock::time_point hard_deadline = Clock::time_point::max();
+  };
+  using Pending = std::map<std::uint32_t, PendingCall>;
+
+  template <typename... Args>
+  static std::vector<std::uint8_t> encode_args(const Args&... args) {
+    xdr::Encoder enc;
+    (xdr_encode(enc, args), ...);
+    return enc.take();
+  }
+
+  /// Writes one record: RecordWriter at depth 1, the batcher above it.
+  void send(std::span<const std::uint8_t> record) CRICKET_EXCLUDES(mu_);
+  /// Depth 1: reads replies, fires timers and re-sends on the calling
+  /// thread until `future` completes.
+  void await(const ReplyFuture& future) CRICKET_EXCLUDES(mu_);
+  void reader_loop() CRICKET_EXCLUDES(mu_);
+  void retry_loop() CRICKET_EXCLUDES(mu_);
+
+  // The shared steps both drivers are built from.
+  /// Classifies one reply record and completes, retries or drops it.
+  void on_record(std::span<const std::uint8_t> record) CRICKET_EXCLUDES(mu_);
+  /// Fires due timers and returns the records to re-send now; `next_due`
+  /// is when the next timer fires (max() when none runs).
+  std::vector<std::vector<std::uint8_t>> expire_locked(
+      Clock::time_point now, Clock::time_point& next_due)
+      CRICKET_REQUIRES(mu_);
+  /// Why `call` may not be tried again, or nullptr when it may.
+  [[nodiscard]] const char* retry_refusal(const PendingCall& call,
+                                          std::uint32_t xid,
+                                          Clock::time_point now,
+                                          bool migrating) const;
+  /// The call lost its attempt: schedule the next one after its backoff,
+  /// or fail it with kDeadlineExceeded.
+  Pending::iterator retry_or_fail_locked(Pending::iterator it,
+                                         Clock::time_point now,
+                                         bool migrating = false)
+      CRICKET_REQUIRES(mu_);
+  /// Replaces a dead or abandoned connection through the factory; every
+  /// call with an attempt on it loses that attempt. Without retry or a
+  /// factory, or when the factory fails, every pending call fails and the
+  /// client closes. Returns whether the client is still open.
+  bool reconnect_locked(Clock::time_point now, const std::string& reason)
+      CRICKET_REQUIRES(mu_);
+  Pending::iterator fail_locked(Pending::iterator it, std::exception_ptr error)
+      CRICKET_REQUIRES(mu_);
+  /// Fails every pending call with its own `make_error()`, so waiters on
+  /// other threads never share (and release) one exception object.
+  template <typename MakeError>
+  void fail_all_locked(const MakeError& make_error) CRICKET_REQUIRES(mu_) {
+    for (auto it = pending_.begin(); it != pending_.end();)
+      it = fail_locked(it, std::make_exception_ptr(make_error()));
+  }
 
   std::unique_ptr<Transport> transport_;
-  RecordWriter writer_;
-  RecordReader reader_;
+  RecordWriter writer_;  // depth 1
+  RecordReader reader_;  // depth 1
   std::uint32_t prog_;
   std::uint32_t vers_;
-  std::uint32_t next_xid_;
-  OpaqueAuth cred_;
-  ClientStats stats_;
   ClientOptions options_;
+  /// Depth > 1 only. shared_ptr: the zero-deadline on_block hooks hold weak
+  /// copies, so a racing teardown never frees it under them.
+  std::shared_ptr<CallBatcher> batcher_;
+
+  mutable sim::Mutex mu_;
+  sim::CondVar slots_cv_;  // outstanding window + drain waiters
+  sim::CondVar retry_cv_;  // wakes the retry thread (timers / teardown)
+  Pending pending_ CRICKET_GUARDED_BY(mu_);
+  std::uint32_t next_xid_ CRICKET_GUARDED_BY(mu_);
+  OpaqueAuth cred_ CRICKET_GUARDED_BY(mu_);
+  /// Bumped per reconnect, so the reader thread rebinds to transport_.
+  std::uint64_t generation_ CRICKET_GUARDED_BY(mu_) = 0;
+  bool dead_ CRICKET_GUARDED_BY(mu_) = false;
+  bool stopping_ CRICKET_GUARDED_BY(mu_) = false;
+  ClientStats stats_ CRICKET_GUARDED_BY(mu_);
+
+  std::thread reader_thread_;
+  std::thread retry_thread_;
 };
 
 }  // namespace cricket::rpc

@@ -4,7 +4,7 @@
 // `rpclgen --emit-bounds` proves, per procedure, an interval [min, max] of
 // bytes any conforming argument/result encoding can occupy (see
 // rpcl/bounds.hpp) and emits it as a constexpr array of ProcWireBounds.
-// The rpc server and rpcflow channel consult that table before decoding:
+// The rpc server and rpc client core consult that table before decoding:
 // a record whose payload length falls outside the addressed procedure's
 // interval cannot be a valid message, so it is rejected before any
 // allocation or xdr_decode runs. This header defines only the table entry

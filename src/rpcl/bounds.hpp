@@ -30,7 +30,7 @@
 // constexpr per-type / per-procedure tables (rpc::TypeWireBounds /
 // rpc::ProcWireBounds) with static_asserts tying every procedure to the
 // budget, so the proof is re-checked by the C++ compiler of every build
-// that includes the table. The rpc server and rpcflow channel use the same
+// that includes the table. The rpc server and rpc client core use the same
 // tables at runtime for decode pre-flight (see rpc/wire_bounds.hpp).
 #pragma once
 

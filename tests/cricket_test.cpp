@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
 #include <thread>
 
+#include "bounded_wait.hpp"
 #include "cricket/checkpoint.hpp"
 #include "cricket/client.hpp"
 #include "cricket/scheduler.hpp"
@@ -418,6 +420,53 @@ TEST(CricketTransferMethods, ParallelSocketsTransferCorrectly) {
     (void)api.free(p);
   }
   thread.join();
+}
+
+TEST(CricketTransferMethods, ParallelD2hFromInvalidPointerReturns) {
+  // The server refuses the copy without scattering a byte, so nothing ever
+  // arrives on the lanes the client is receiving from.
+  auto node = cuda::GpuNode::make_a100();
+  CricketServer server(*node);
+  auto [client_end, server_end] = rpc::make_pipe_pair();
+  auto [client_lanes, server_lanes] = make_lane_pairs(4);
+  auto thread =
+      server.serve_async(std::move(server_end), std::move(server_lanes));
+  {
+    const ClientConfig config{.transfer = TransferMethod::kParallelSockets};
+    RemoteCudaApi api(std::move(client_end), node->clock(), config,
+                      std::move(client_lanes));
+    std::vector<std::uint8_t> out(1 << 16);
+    testutil::within(std::chrono::seconds(20), [&] {
+      EXPECT_EQ(api.memcpy_d2h(out, /*src=*/0xBAD0000),
+                Error::kInvalidDevicePointer);
+    });
+    // The failed copy shut the lanes: later parallel copies fail cleanly
+    // while ordinary calls keep working.
+    cuda::DevPtr p = 0;
+    ASSERT_EQ(api.malloc(p, out.size()), Error::kSuccess);
+    EXPECT_EQ(api.memcpy_h2d(p, out), Error::kRpcFailure);
+    EXPECT_EQ(api.memcpy_d2h(out, p), Error::kRpcFailure);
+    EXPECT_EQ(api.free(p), Error::kSuccess);
+  }
+  thread.join();
+}
+
+TEST(CricketTransferMethods, ParallelCopyOnDeadConnectionFailsCleanly) {
+  // The begin call throws (the server end is gone) while the lane thread is
+  // blocked on lanes nobody drains: the copy must fail, not abort.
+  auto node = cuda::GpuNode::make_a100();
+  auto [client_end, server_end] = rpc::make_pipe_pair();
+  server_end.reset();
+  auto [client_lanes, server_lanes] =
+      make_lane_pairs(2, /*capacity_bytes=*/64 << 10);
+  const ClientConfig config{.transfer = TransferMethod::kParallelSockets};
+  RemoteCudaApi api(std::move(client_end), node->clock(), config,
+                    std::move(client_lanes));
+  std::vector<std::uint8_t> data(1 << 20, 0x5A);
+  testutil::within(std::chrono::seconds(20), [&] {
+    EXPECT_EQ(api.memcpy_h2d(/*dst=*/0x1000, data), Error::kRpcFailure);
+    EXPECT_EQ(api.memcpy_d2h(data, /*src=*/0x1000), Error::kRpcFailure);
+  });
 }
 
 TEST(CricketTransferMethods, SharedMemoryIsZeroRpc) {

@@ -1,8 +1,8 @@
 // faultnet: the fault plane itself (spec parsing, deterministic injection),
-// the recovery machinery it exercises (client retry, channel resubmission,
-// the server duplicate-request cache, reconnects), and the loss-recovery
-// regressions the plane exposed (minitcp dup-ACK re-arm, record size cap,
-// zero-deadline batcher hangs).
+// the recovery machinery it exercises (client retry at depth 1 and
+// pipelined, the server duplicate-request cache, reconnects), and the
+// loss-recovery regressions the plane exposed (minitcp dup-ACK re-arm,
+// record size cap, zero-deadline batcher hangs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "bounded_wait.hpp"
 #include "cricket/client.hpp"
 #include "cricket/server.hpp"
 #include "cudart/local_api.hpp"
@@ -30,7 +31,6 @@
 #include "rpc/rpc_msg.hpp"
 #include "rpc/server.hpp"
 #include "rpc/transport.hpp"
-#include "rpcflow/channel.hpp"
 #include "vnet/minitcp.hpp"
 #include "workloads/bandwidth_test.hpp"
 #include "workloads/histogram.hpp"
@@ -361,87 +361,80 @@ rpc::RetryPolicy test_retry_policy() {
 
 constexpr std::uint32_t kMatrixCalls = 30;
 
-void run_serial_matrix(const FaultSpec& spec) {
-  FaultyRpcHarness h(spec);
-  {
-    rpc::ClientOptions options;
-    options.retry = test_retry_policy();
-    rpc::RpcClient client(h.take_client_transport(), kProg, kVers, options);
-    for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
-      EXPECT_EQ(client.call<std::uint32_t>(kProcEcho, i), i) << "call " << i;
-    }
-  }
-  // Exactly-once: every logical call executed precisely one time, however
-  // many wire-level attempts it took. Retries of already-executed calls were
-  // answered from the duplicate-request cache.
-  EXPECT_EQ(h.executions(), kMatrixCalls);
-}
-
-void run_pipelined_matrix(const FaultSpec& spec, bool batched) {
+/// kMatrixCalls echo calls under `spec` through one RpcClient with `depth`
+/// calls in flight (1 = each call completes before the next is issued).
+void run_matrix(const FaultSpec& spec, std::uint32_t depth,
+                bool batched = false) {
   FaultyRpcHarness h(spec);
   std::uint64_t retries = 0;
   {
-    rpcflow::ChannelOptions options;
+    rpc::ClientOptions options;
+    options.max_outstanding = depth;
     options.retry = test_retry_policy();
     if (batched) {
       options.batch.enabled = true;
       options.batch.max_calls = 4;
       options.batch.deadline = 200us;
     }
-    rpcflow::AsyncRpcChannel channel(h.take_client_transport(), kProg, kVers,
-                                     options);
-    std::vector<rpcflow::TypedFuture<std::uint32_t>> futures;
+    rpc::RpcClient client(h.take_client_transport(), kProg, kVers, options);
+    std::vector<rpc::TypedFuture<std::uint32_t>> futures;
     for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
-      futures.push_back(channel.call_async<std::uint32_t>(kProcEcho, i));
+      futures.push_back(client.call_async<std::uint32_t>(kProcEcho, i));
     }
-    channel.flush();
+    client.flush();
     for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
       EXPECT_EQ(futures[i].get(), i) << "call " << i;
     }
-    retries = channel.stats().retries;
+    retries = client.stats().retries;
   }
+  // Exactly-once: every logical call executed precisely one time, however
+  // many wire-level attempts it took. Retries of already-executed calls were
+  // answered from the duplicate-request cache.
   EXPECT_EQ(h.executions(), kMatrixCalls);
   if (spec.drop >= 0.2) {
     EXPECT_GT(retries, 0u);
   }
 }
 
+constexpr std::uint32_t kSerial = 1;
+constexpr std::uint32_t kPipelined = 32;
+
 TEST(FaultMatrix, SerialSurvivesDrops) {
-  run_serial_matrix(FaultSpec::parse("drop=0.2,seed=42"));
+  run_matrix(FaultSpec::parse("drop=0.2,seed=42"), kSerial);
 }
 TEST(FaultMatrix, SerialSurvivesDuplicates) {
-  run_serial_matrix(FaultSpec::parse("dup=0.3,seed=42"));
+  run_matrix(FaultSpec::parse("dup=0.3,seed=42"), kSerial);
 }
 TEST(FaultMatrix, SerialSurvivesReordering) {
-  run_serial_matrix(FaultSpec::parse("reorder=0.3,seed=42"));
+  run_matrix(FaultSpec::parse("reorder=0.3,seed=42"), kSerial);
 }
 TEST(FaultMatrix, SerialSurvivesPartition) {
-  run_serial_matrix(FaultSpec::parse("partition_after=6,partition_len=4"));
+  run_matrix(FaultSpec::parse("partition_after=6,partition_len=4"), kSerial);
 }
 TEST(FaultMatrix, SerialSurvivesDelay) {
-  run_serial_matrix(FaultSpec::parse("delay=0.3,delay_us=1000,seed=42"));
+  run_matrix(FaultSpec::parse("delay=0.3,delay_us=1000,seed=42"), kSerial);
 }
 TEST(FaultMatrix, PipelinedSurvivesDrops) {
-  run_pipelined_matrix(FaultSpec::parse("drop=0.2,seed=42"), false);
+  run_matrix(FaultSpec::parse("drop=0.2,seed=42"), kPipelined);
 }
 TEST(FaultMatrix, PipelinedSurvivesDuplicates) {
-  run_pipelined_matrix(FaultSpec::parse("dup=0.3,seed=42"), false);
+  run_matrix(FaultSpec::parse("dup=0.3,seed=42"), kPipelined);
 }
 TEST(FaultMatrix, PipelinedSurvivesReordering) {
-  run_pipelined_matrix(FaultSpec::parse("reorder=0.3,seed=42"), false);
+  run_matrix(FaultSpec::parse("reorder=0.3,seed=42"), kPipelined);
 }
 TEST(FaultMatrix, PipelinedSurvivesPartition) {
-  run_pipelined_matrix(
-      FaultSpec::parse("partition_after=6,partition_len=4"), false);
+  run_matrix(FaultSpec::parse("partition_after=6,partition_len=4"),
+             kPipelined);
 }
 TEST(FaultMatrix, BatchedSurvivesDrops) {
-  run_pipelined_matrix(FaultSpec::parse("drop=0.2,seed=42"), true);
+  run_matrix(FaultSpec::parse("drop=0.2,seed=42"), kPipelined, true);
 }
 TEST(FaultMatrix, BatchedSurvivesDuplicates) {
-  run_pipelined_matrix(FaultSpec::parse("dup=0.3,seed=42"), true);
+  run_matrix(FaultSpec::parse("dup=0.3,seed=42"), kPipelined, true);
 }
 TEST(FaultMatrix, BatchedSurvivesReordering) {
-  run_pipelined_matrix(FaultSpec::parse("reorder=0.3,seed=42"), true);
+  run_matrix(FaultSpec::parse("reorder=0.3,seed=42"), kPipelined, true);
 }
 
 TEST(FaultMatrix, SerialSurvivesCorruptionBurst) {
@@ -530,13 +523,13 @@ TEST(RetryPolicy, NonIdempotentProcedureFailsFast) {
 
 TEST(RetryPolicy, ChannelFailsFuturesOnExhaustion) {
   FaultyRpcHarness h(FaultSpec::parse("drop=1.0,seed=1"));
-  rpcflow::ChannelOptions options;
+  rpc::ClientOptions options;
+  options.max_outstanding = kPipelined;
   options.retry.enabled = true;
   options.retry.max_attempts = 2;
   options.retry.attempt_timeout = 40ms;
   options.retry.deadline = 5s;
-  rpcflow::AsyncRpcChannel channel(h.take_client_transport(), kProg, kVers,
-                                   options);
+  rpc::RpcClient channel(h.take_client_transport(), kProg, kVers, options);
   auto fut = channel.call_async<std::uint32_t>(kProcEcho, 1u);
   channel.flush();
   try {
@@ -547,6 +540,102 @@ TEST(RetryPolicy, ChannelFailsFuturesOnExhaustion) {
   }
   EXPECT_EQ(channel.stats().deadline_exceeded, 1u);
 }
+
+// ------------------- one rule set at every client depth --------------------
+
+/// The retry and reply rules of rpc::RpcClient, each checked at depth 1 (the
+/// caller's thread drives the call) and pipelined (reader and retry
+/// threads).
+class ClientRules : public ::testing::TestWithParam<std::uint32_t> {
+ protected:
+  /// Serves one call on a raw pipe: answers it with `reply_for(call)` as the
+  /// whole reply record, then keeps the server end open until teardown.
+  template <typename ReplyFor>
+  rpc::RpcClient& serve_one(ReplyFor reply_for) {
+    auto [client_end, server_end] = rpc::make_pipe_pair();
+    server_end_ = std::move(server_end);
+    server_ = std::thread([this, reply_for] {
+      rpc::RecordReader reader(*server_end_);
+      std::vector<std::uint8_t> record;
+      if (!reader.read_record(record)) return;
+      rpc::RecordWriter(*server_end_).write_record(
+          reply_for(rpc::decode_call(record)));
+    });
+    client_ = std::make_unique<rpc::RpcClient>(
+        std::move(client_end), kProg, kVers,
+        rpc::ClientOptions{.max_outstanding = GetParam()});
+    return *client_;
+  }
+
+  void TearDown() override {
+    if (server_.joinable()) server_.join();
+    if (server_end_) server_end_->shutdown();  // ends the client's reader
+    client_.reset();
+  }
+
+  /// The RpcError kind `call` fails with, within a bounded wait.
+  static rpc::RpcError::Kind failure_of(rpc::RpcClient& client) {
+    auto kind = rpc::RpcError::Kind::kSystemErr;
+    testutil::within(std::chrono::seconds(20), [&] {
+      try {
+        (void)client.call<std::uint32_t>(kProcEcho, 1u);
+        ADD_FAILURE() << "expected RpcError";
+      } catch (const rpc::RpcError& e) {
+        kind = e.kind();
+      }
+    });
+    return kind;
+  }
+
+  std::unique_ptr<rpc::Transport> server_end_;
+  std::thread server_;
+  std::unique_ptr<rpc::RpcClient> client_;
+};
+
+TEST_P(ClientRules, NonIdempotentCallIsSentOnce) {
+  FaultyRpcHarness h(FaultSpec::parse("drop=1.0,seed=1"));
+  auto transport = h.take_client_transport();
+  const auto* wire = static_cast<FaultyTransport*>(transport.get());
+  rpc::ClientOptions options;
+  options.max_outstanding = GetParam();
+  options.retry.enabled = true;
+  options.retry.max_attempts = 4;
+  options.retry.attempt_timeout = 40ms;
+  options.retry.assume_at_most_once = false;  // no DRC: nothing is retryable
+  rpc::RpcClient client(std::move(transport), kProg, kVers, options);
+  EXPECT_EQ(failure_of(client), rpc::RpcError::Kind::kDeadlineExceeded);
+  EXPECT_EQ(wire->stats().messages, 1u);  // sent once, never re-sent
+  EXPECT_EQ(client.stats().retries, 0u);
+}
+
+TEST_P(ClientRules, UndecodableReplyFailsWithBadReply) {
+  auto& client = serve_one([](const rpc::CallMsg& call) {
+    // The right xid, then a message type that is neither CALL nor REPLY.
+    xdr::Encoder enc;
+    xdr_encode(enc, call.xid);
+    xdr_encode(enc, std::uint32_t{7});
+    return enc.take();
+  });
+  EXPECT_EQ(failure_of(client), rpc::RpcError::Kind::kBadReply);
+  EXPECT_EQ(client.outstanding(), 0u);
+}
+
+TEST_P(ClientRules, ReplyForAnXidNeverIssuedFailsWithBadReply) {
+  auto& client = serve_one([](const rpc::CallMsg& call) {
+    rpc::ReplyMsg reply;
+    reply.xid = call.xid + 100;
+    reply.results = {0, 0, 0, 1};
+    return rpc::encode_reply(reply);
+  });
+  EXPECT_EQ(failure_of(client), rpc::RpcError::Kind::kBadReply);
+  EXPECT_EQ(client.stats().stale_replies, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Depths, ClientRules, ::testing::Values(kSerial, kPipelined),
+    [](const ::testing::TestParamInfo<std::uint32_t>& info) {
+      return info.param == kSerial ? "Serial" : "Pipelined";
+    });
 
 TEST(StickyError, RemoteApiDegradesGracefullyAfterExhaustion) {
   auto node = cuda::GpuNode::make_a100();
@@ -608,7 +697,7 @@ TEST(Reconnect, ChannelResubmitsInFlightCallsOnNewConnection) {
   registry.enable_duplicate_cache();
 
   // Each "connection" is a pipe pair with its own serve thread on the shared
-  // registry; the factory is called from the channel's reader thread.
+  // registry; the factory is called from the client's reader thread.
   std::mutex threads_mu;
   std::vector<std::thread> serve_threads;
   auto connect_fn = [&]() -> std::unique_ptr<rpc::Transport> {
@@ -635,12 +724,12 @@ TEST(Reconnect, ChannelResubmitsInFlightCallsOnNewConnection) {
         });
   }
 
-  rpcflow::ChannelOptions options;
+  rpc::ClientOptions options;
+  options.max_outstanding = kPipelined;
   options.retry = test_retry_policy();
   options.reconnect = connect_fn;
   {
-    rpcflow::AsyncRpcChannel channel(std::move(first.first), kProg, kVers,
-                                     options);
+    rpc::RpcClient channel(std::move(first.first), kProg, kVers, options);
     // Issue a call, let it reach the server, then kill the reply direction
     // while the handler is still running: the reader sees end-of-stream,
     // reconnects, and resubmits the in-flight xid on the new connection.
@@ -685,13 +774,13 @@ TEST(RecordCap, DefaultCapCoversMaxPayloadPlusEnvelope) {
 
 TEST(ZeroDeadlineBatcher, BlockedFutureFlushesInsteadOfHanging) {
   FaultyRpcHarness h(FaultSpec{});  // clean network
-  rpcflow::ChannelOptions options;
+  rpc::ClientOptions options;
+  options.max_outstanding = kPipelined;
   options.batch.enabled = true;
   options.batch.max_calls = 1000;   // never fills
   options.batch.max_bytes = 1 << 20;
   options.batch.deadline = 0us;     // no background flusher
-  rpcflow::AsyncRpcChannel channel(h.take_client_transport(), kProg, kVers,
-                                   options);
+  rpc::RpcClient channel(h.take_client_transport(), kProg, kVers, options);
   auto fut = channel.call_async<std::uint32_t>(kProcEcho, 9u);
   // No flush() — before the on_block hook this would deadlock forever.
   EXPECT_EQ(fut.get(), 9u);

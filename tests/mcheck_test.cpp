@@ -7,7 +7,7 @@
 //      plus determinism and seed-replay guarantees.
 //   3. Model tests over five production concurrency cores: tenancy token
 //      bucket, obs seqlock ring, fair-share scheduler vtime accounting, DRC
-//      condvar parking, and the rpcflow call batcher.
+//      condvar parking, and the rpc call batcher.
 //
 // These tests install their own observers (LockGraph::install saves and
 // restores, explore() swaps for its run), so the mutants' inverted lock
@@ -26,9 +26,9 @@
 #include "mcheck/lock_graph.hpp"
 #include "mcheck_mutants.hpp"
 #include "obs/trace.hpp"
+#include "rpc/batcher.hpp"
 #include "rpc/rpc_msg.hpp"
 #include "rpc/server.hpp"
-#include "rpcflow/batcher.hpp"
 #include "sim/annotations.hpp"
 #include "sim/sim_clock.hpp"
 #include "tenancy/token_bucket.hpp"
@@ -450,7 +450,7 @@ TEST(ModelDrc, DuplicateDispatchExecutesHandlerOnce) {
   EXPECT_GT(r.schedules, 1u);
 }
 
-// Core 5: the rpcflow CallBatcher flush race. Two appenders race a
+// Core 5: the rpc CallBatcher flush race. Two appenders race a
 // threshold flush (deadline = 0 keeps the background flusher thread out of
 // the model); no record may be lost or sent twice, whatever the order.
 TEST(ModelBatcher, ConcurrentAppendsLoseNothing) {
@@ -466,11 +466,11 @@ TEST(ModelBatcher, ConcurrentAppendsLoseNothing) {
   };
   const ExploreResult r = explore(ExploreOptions{}, [] {
     CountingTransport transport;
-    rpcflow::CallBatcher::Options opts;
+    rpc::CallBatcher::Options opts;
     opts.enabled = true;
     opts.max_calls = 2;  // second append triggers the full-flush path
     opts.deadline = std::chrono::microseconds{0};
-    rpcflow::CallBatcher batcher(transport, opts, /*max_fragment=*/1 << 20);
+    rpc::CallBatcher batcher(transport, opts);
     const std::vector<std::uint8_t> record(32, 0x5A);
     for (int i = 0; i < 2; ++i) {
       mcheck::spawn([&] { batcher.append(record); });

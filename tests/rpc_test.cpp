@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,6 +79,34 @@ class RpcPipeTest : public ::testing::Test {
 };
 
 TEST_F(RpcPipeTest, NullProcedurePings) { EXPECT_NO_THROW(client_->ping()); }
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST(RpcClientDepth, DepthOneRunsOnTheCallersThreadOnly) {
+  ServiceRegistry registry = make_test_registry();
+  auto [client_end, server_end] = make_pipe_pair();
+  std::thread server([&registry, &server_end] {
+    serve_transport(registry, *server_end);
+  });
+  const std::size_t before = thread_count();
+  {
+    ClientOptions options;  // max_outstanding 1
+    options.retry.enabled = true;
+    RpcClient client(std::move(client_end), kProg, kVers, options);
+    EXPECT_EQ((client.call<std::uint32_t>(kProcAdd, 1u, 2u)), 3u);
+    auto ready = client.call_async<std::uint32_t>(kProcAdd, 3u, 4u);
+    EXPECT_TRUE(ready.ready());  // a window of one: complete on return
+    EXPECT_EQ(ready.get(), 7u);
+    EXPECT_EQ(thread_count(), before);  // no reader, no retry thread
+  }
+  server.join();
+}
 
 TEST_F(RpcPipeTest, TypedCallReturnsSum) {
   EXPECT_EQ((client_->call<std::uint32_t>(kProcAdd, std::uint32_t{2},

@@ -1,5 +1,6 @@
-// rpcflow: pipelined channel, small-call batcher, pipelined server loop, and
-// the async Cricket client end-to-end.
+// Pipelining: rpc::RpcClient above max_outstanding 1, the small-call
+// batcher, the pipelined server loop, and the pipelined Cricket client
+// end-to-end.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,17 +14,17 @@
 #include "cricket/server.hpp"
 #include "cudart/local_api.hpp"
 #include "env/environment.hpp"
+#include "rpc/batcher.hpp"
+#include "rpc/client.hpp"
 #include "rpc/record.hpp"
 #include "rpc/rpc_msg.hpp"
 #include "rpc/server.hpp"
 #include "rpc/transport.hpp"
-#include "rpcflow/batcher.hpp"
-#include "rpcflow/channel.hpp"
 #include "workloads/histogram.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/matrix_mul.hpp"
 
-namespace cricket::rpcflow {
+namespace cricket::rpc {
 namespace {
 
 using namespace std::chrono_literals;
@@ -66,8 +67,7 @@ std::vector<std::uint8_t> record_of(std::size_t n) {
 
 TEST(CallBatcherTest, DisabledSendsEachRecordImmediately) {
   RecordingTransport wire;
-  CallBatcher batcher(wire, CallBatcher::Options{.enabled = false},
-                      rpc::RecordWriter::kDefaultMaxFragment);
+  CallBatcher batcher(wire, CallBatcher::Options{.enabled = false});
   batcher.append(record_of(40));
   batcher.append(record_of(40));
   batcher.append(record_of(40));
@@ -82,8 +82,7 @@ TEST(CallBatcherTest, FlushesWhenRecordCountFills) {
                       CallBatcher::Options{.enabled = true,
                                            .max_bytes = 1 << 20,
                                            .max_calls = 2,
-                                           .deadline = 0us},
-                      rpc::RecordWriter::kDefaultMaxFragment);
+                                           .deadline = 0us});
   batcher.append(record_of(40));
   EXPECT_EQ(wire.sends(), 0u);  // below both thresholds: buffered
   batcher.append(record_of(40));
@@ -101,8 +100,7 @@ TEST(CallBatcherTest, FlushesWhenByteThresholdFills) {
                       CallBatcher::Options{.enabled = true,
                                            .max_bytes = 64,
                                            .max_calls = 1000,
-                                           .deadline = 0us},
-                      rpc::RecordWriter::kDefaultMaxFragment);
+                                           .deadline = 0us});
   batcher.append(record_of(40));  // 44 wire bytes: buffered
   EXPECT_EQ(wire.sends(), 0u);
   batcher.append(record_of(40));  // 88 wire bytes: over the cap
@@ -116,8 +114,7 @@ TEST(CallBatcherTest, FlushesOnDeadlineWithoutHelp) {
                       CallBatcher::Options{.enabled = true,
                                            .max_bytes = 1 << 20,
                                            .max_calls = 1000,
-                                           .deadline = 2ms},
-                      rpc::RecordWriter::kDefaultMaxFragment);
+                                           .deadline = 2ms});
   batcher.append(record_of(40));
   const auto give_up = std::chrono::steady_clock::now() + 5s;
   while (wire.sends() == 0 && std::chrono::steady_clock::now() < give_up) {
@@ -133,8 +130,7 @@ TEST(CallBatcherTest, ExplicitFlushDrainsTheBuffer) {
                       CallBatcher::Options{.enabled = true,
                                            .max_bytes = 1 << 20,
                                            .max_calls = 1000,
-                                           .deadline = 0us},
-                      rpc::RecordWriter::kDefaultMaxFragment);
+                                           .deadline = 0us});
   batcher.append(record_of(40));
   batcher.append(record_of(40));
   EXPECT_EQ(wire.sends(), 0u);
@@ -145,10 +141,11 @@ TEST(CallBatcherTest, ExplicitFlushDrainsTheBuffer) {
   EXPECT_EQ(wire.sends(), 1u);
 }
 
-/// Pipe-connected channel + pipelined server with concurrency probes.
+/// Pipe-connected pipelined client + pipelined server with concurrency
+/// probes.
 class ChannelHarness {
  public:
-  ChannelHarness(rpc::ServeOptions serve, ChannelOptions channel_options) {
+  ChannelHarness(rpc::ServeOptions serve, ClientOptions channel_options) {
     registry_.register_typed<std::uint32_t, std::uint32_t, std::uint32_t>(
         kProg, kVers, kProcAdd,
         [](std::uint32_t a, std::uint32_t b) { return a + b; });
@@ -175,8 +172,8 @@ class ChannelHarness {
     server_thread_ = std::thread([this, serve] {
       rpc::serve_transport(registry_, *server_end_, serve);
     });
-    channel_ = std::make_unique<AsyncRpcChannel>(std::move(client_end), kProg,
-                                                 kVers, channel_options);
+    channel_ = std::make_unique<RpcClient>(std::move(client_end), kProg,
+                                           kVers, channel_options);
   }
 
   ~ChannelHarness() {
@@ -184,7 +181,7 @@ class ChannelHarness {
     if (server_thread_.joinable()) server_thread_.join();
   }
 
-  [[nodiscard]] AsyncRpcChannel& channel() { return *channel_; }
+  [[nodiscard]] RpcClient& channel() { return *channel_; }
   [[nodiscard]] std::uint32_t max_handler_concurrency() const {
     return max_in_handler_.load();
   }
@@ -195,12 +192,12 @@ class ChannelHarness {
   std::atomic<std::uint32_t> max_in_handler_{0};
   std::unique_ptr<rpc::Transport> server_end_;
   std::thread server_thread_;
-  std::unique_ptr<AsyncRpcChannel> channel_;
+  std::unique_ptr<RpcClient> channel_;
 };
 
 TEST(AsyncRpcChannelTest, OutOfOrderRepliesMatchTheirCalls) {
   ChannelHarness h(rpc::ServeOptions{.workers = 4, .max_in_flight = 16},
-                   ChannelOptions{.max_outstanding = 16});
+                   ClientOptions{.max_outstanding = 16});
   // The first call sleeps; the rest complete immediately on other workers,
   // so their replies overtake it on the wire.
   auto slow = h.channel().call_async<std::uint32_t>(
@@ -224,7 +221,7 @@ TEST(AsyncRpcChannelTest, OutOfOrderRepliesMatchTheirCalls) {
 
 TEST(AsyncRpcChannelTest, WindowSaturatesAtMaxOutstanding) {
   ChannelHarness h(rpc::ServeOptions{.workers = 4, .max_in_flight = 64},
-                   ChannelOptions{.max_outstanding = 4});
+                   ClientOptions{.max_outstanding = 4});
   std::vector<TypedFuture<std::uint32_t>> futures;
   for (std::uint32_t i = 0; i < 32; ++i) {
     futures.push_back(h.channel().call_async<std::uint32_t>(
@@ -241,7 +238,7 @@ TEST(AsyncRpcChannelTest, WindowSaturatesAtMaxOutstanding) {
 
 TEST(AsyncRpcChannelTest, ServerWorkerPoolRunsHandlersConcurrently) {
   ChannelHarness h(rpc::ServeOptions{.workers = 4, .max_in_flight = 16},
-                   ChannelOptions{.max_outstanding = 16});
+                   ClientOptions{.max_outstanding = 16});
   std::vector<TypedFuture<std::uint32_t>> futures;
   for (std::uint32_t i = 0; i < 8; ++i) {
     futures.push_back(h.channel().call_async<std::uint32_t>(kProcTrack, i));
@@ -257,7 +254,7 @@ TEST(AsyncRpcChannelTest, ServerWorkerPoolRunsHandlersConcurrently) {
 TEST(AsyncRpcChannelTest, BatchedPipelineMatchesExpectedResults) {
   ChannelHarness h(
       rpc::ServeOptions{.workers = 2, .max_in_flight = 64},
-      ChannelOptions{.max_outstanding = 64,
+      ClientOptions{.max_outstanding = 64,
                      .batch = CallBatcher::Options{.enabled = true,
                                                    .max_calls = 8,
                                                    .deadline = 500us}});
@@ -276,7 +273,7 @@ TEST(AsyncRpcChannelTest, BatchedPipelineMatchesExpectedResults) {
 
 TEST(AsyncRpcChannelTest, CallLevelErrorsSurfaceThroughFutures) {
   ChannelHarness h(rpc::ServeOptions{.workers = 2, .max_in_flight = 8},
-                   ChannelOptions{.max_outstanding = 8});
+                   ClientOptions{.max_outstanding = 8});
   auto fut = h.channel().call_async<std::uint32_t>(999);  // unknown proc
   h.channel().flush();
   try {
@@ -293,8 +290,8 @@ TEST(AsyncRpcChannelTest, CallLevelErrorsSurfaceThroughFutures) {
 
 TEST(AsyncRpcChannelTest, MidPipelineFailureFailsEveryPendingFuture) {
   auto [client_end, server_end] = rpc::make_pipe_pair();
-  AsyncRpcChannel channel(std::move(client_end), kProg, kVers,
-                          ChannelOptions{.max_outstanding = 64});
+  RpcClient channel(std::move(client_end), kProg, kVers,
+                    ClientOptions{.max_outstanding = 64});
   std::vector<TypedFuture<std::uint32_t>> futures;
   for (std::uint32_t i = 0; i < 16; ++i) {
     futures.push_back(channel.call_async<std::uint32_t>(kProcAdd, i, i));
@@ -320,9 +317,8 @@ TEST(AsyncRpcChannelTest, OversizedReplyFailsUndecodedViaBoundsTable) {
       {kProg, kVers, kProcAdd, 8, 8, 4, 4, "add"},
   };
   auto [client_end, server_end] = rpc::make_pipe_pair();
-  AsyncRpcChannel channel(
-      std::move(client_end), kProg, kVers,
-      ChannelOptions{.max_outstanding = 4, .bounds = kTable});
+  RpcClient channel(std::move(client_end), kProg, kVers,
+                    ClientOptions{.max_outstanding = 4, .bounds = kTable});
   // Raw "server": answers the call with a well-formed success reply whose
   // results blob far exceeds the procedure's proven result bound. The
   // channel must fail the future from the record length alone, before
@@ -370,14 +366,14 @@ TEST(AsyncRpcChannelTest, OversizedReplyFailsUndecodedViaBoundsTable) {
            .get()),
       42u);
   server2.join();
-  // End the reader loop: the channel destructor joins the reader, which
+  // End the reader loop: the client destructor joins the reader, which
   // runs until the server half-closes.
   server_end->shutdown();
 }
 
 TEST(AsyncRpcChannelTest, DrainIsIdleSafe) {
   ChannelHarness h(rpc::ServeOptions{.workers = 1, .max_in_flight = 4},
-                   ChannelOptions{.max_outstanding = 4});
+                   ClientOptions{.max_outstanding = 4});
   h.channel().drain();
   EXPECT_EQ(h.channel().outstanding(), 0u);
 }
@@ -456,4 +452,4 @@ TEST_F(AsyncCricketTest, DisconnectFailsSubsequentCalls) {
 }
 
 }  // namespace
-}  // namespace cricket::rpcflow
+}  // namespace cricket::rpc

@@ -53,6 +53,12 @@
 #  18. release     plain -DCMAKE_BUILD_TYPE=Release build + full ctest — the
 #                    -O3 build sees warnings (GCC's -Werror=restrict and
 #                    friends) that RelWithDebInfo does not
+#  19. perfbench-smoke  python3 perfbench/test_run.py: short traced and
+#                    untraced runs of every benchmark workload, each with
+#                    zero failed operations and every exact calls-hermit
+#                    virtual-time pin matched (SKIP when the process may use
+#                    fewer than two CPUs or can not set SCHED_BATCH, which
+#                    the benchmark's CPU placement needs)
 #
 # Stages whose toolchain is unavailable (no clang, no clang-tidy) report
 # SKIP and do not fail the gate. The first FAIL stops the run; a summary
@@ -158,7 +164,7 @@ if should_continue; then
     run_stage clang-tidy bash -c '
       cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null &&
       clang-tidy -p build --quiet \
-        src/rpc/*.cpp src/rpcflow/*.cpp src/gpusim/*.cpp \
+        src/rpc/*.cpp src/gpusim/*.cpp \
         src/rpcl/*.cpp src/vnet/*.cpp src/cricket/*.cpp'
   else
     record clang-tidy "SKIP (clang-tidy not installed)"
@@ -392,11 +398,38 @@ if should_continue; then
     ctest --test-dir build-release --output-on-failure -j "$0"' "$JOBS"
 fi
 
+# ------------------------------------------------------- 19: perfbench-smoke
+# The virtual-time contract, end to end through the real-time benchmark:
+# every workload, traced and untraced, must finish with no failed operation
+# and match every pinned per-call virtual time. perfbench places its stack
+# and caller on two CPUs under SCHED_BATCH; where it can not, SKIP says why.
+if should_continue; then
+  if ! command -v python3 >/dev/null 2>&1; then
+    record perfbench-smoke "SKIP (python3 not installed)"
+  else
+    why=$(python3 -c '
+import os, sys
+cpus = len(os.sched_getaffinity(0))
+if cpus < 2:
+    sys.exit(f"needs two CPUs, the process may use {cpus}")
+try:
+    os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+except OSError as e:
+    sys.exit(f"cannot set SCHED_BATCH: {e.strerror}")
+' 2>&1)
+    if [[ -n "$why" ]]; then
+      record perfbench-smoke "SKIP ($why)"
+    else
+      run_stage perfbench-smoke python3 perfbench/test_run.py
+    fi
+  fi
+fi
+
 # ------------------------------------------------------------------ summary
 echo
 echo "---------------- check.sh summary ----------------"
 for i in "${!STAGES[@]}"; do
-  printf '  %-12s %s\n' "${STAGES[$i]}" "${RESULTS[$i]}"
+  printf '  %-16s %s\n' "${STAGES[$i]}" "${RESULTS[$i]}"
 done
 echo "--------------------------------------------------"
 
