@@ -17,8 +17,8 @@
 //     the wire (or into the small-call batcher) and return at once; a
 //     failure surfaces at the next synchronization point, exactly as real
 //     CUDA reports asynchronous errors. Calls that return values still block
-//     for their own reply. The server runs each session's calls in order
-//     (ServeOptions workers = 1), so results are bit-identical.
+//     for their own reply. The server runs each session's calls one at a
+//     time in order, so results are bit-identical.
 #pragma once
 
 #include <cstdint>

@@ -891,8 +891,8 @@ class TenantAdmission final : public rpc::AdmissionController {
       : tenants_(&tenants), session_(&session), id_(session_id) {}
 
   ~TenantAdmission() override {
-    // serve_transport joins its workers before the controller is destroyed,
-    // so anything still pending is a call whose dispatch never produced a
+    // serve_transport has returned before the controller is destroyed, so
+    // anything still pending is a call whose dispatch never produced a
     // completion (exception unwind); balance the outstanding accounting.
     for (const auto tenant : pending_)
       if (tenant != tenancy::kInvalidTenant) tenants_->complete_call(tenant);
@@ -1071,13 +1071,7 @@ void CricketServer::serve(rpc::Transport& transport, TransferLanes lanes) {
     registry.set_admission(admission.get());
   }
   if (options_.at_most_once) registry.enable_duplicate_cache(options_.drc);
-  rpc::ServeOptions serve = options_.serve;
-  // Session handlers share per-session state (resource tracking, the local
-  // CUDA context) and CUDA streams demand in-order execution, so pipelining
-  // for this service means depth-1 workers: decode, execute, and reply
-  // overlap across calls, but execution itself stays serial per session.
-  if (serve.workers > 1) serve.workers = 1;
-  rpc::serve_transport(registry, transport, serve);
+  rpc::serve_transport(registry, transport, options_.serve);
 }
 
 std::thread CricketServer::serve_async(

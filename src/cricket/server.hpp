@@ -94,11 +94,10 @@ struct ServerOptions {
   /// clients from writing anywhere on the server host).
   std::string checkpoint_dir = ".";
   /// Per-connection RPC loop configuration. Setting `serve.workers` > 0
-  /// enables the pipelined loop (overlapped decode/execute/reply, coalesced
-  /// reply records) for clients that pipeline calls; CricketServer clamps
-  /// the worker count to 1 because a session's handlers mutate shared
-  /// session state and CUDA stream semantics require this session's calls
-  /// to execute in issue order.
+  /// selects pipelined intake (read-ahead, coalesced reply records) for
+  /// clients that pipeline calls. Either way a session's calls execute one
+  /// at a time in issue order, as its shared session state and CUDA stream
+  /// semantics require.
   rpc::ServeOptions serve{};
   /// At-most-once execution: cache replies keyed by (client, xid) so a
   /// faultnet/retry client re-sending a timed-out call gets the original

@@ -67,9 +67,7 @@ void MigrationTarget::serve(rpc::Transport& transport) {
   // fresh connection are handled at the application level: duplicate chunks
   // and repeated commits are idempotent.)
   registry.enable_duplicate_cache({});
-  // NB: spell out ServeOptions — a braced `{}` here would resolve to the
-  // uint32_t max_fragment overload instead.
-  rpc::serve_transport(registry, transport, rpc::ServeOptions{});
+  rpc::serve_transport(registry, transport);
 }
 
 std::thread MigrationTarget::serve_async(

@@ -147,8 +147,8 @@ void bind_clock(const sim::SimClock* clock) noexcept;
 }
 
 /// Sets the thread's current xid for a scope; restores the previous value on
-/// exit. Client call sites wrap the whole call; the pipelined server's
-/// workers wrap each dispatched call (that is the cross-thread hand-off).
+/// exit. Client call sites wrap the whole call; the server's serve loop
+/// wraps each dispatched call and its reply.
 class ScopedXid {
  public:
   explicit ScopedXid(std::uint32_t xid) noexcept : prev_(detail::t_xid) {

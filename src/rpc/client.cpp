@@ -273,7 +273,8 @@ void RpcClient::await(const ReplyFuture& future) {
 
 void RpcClient::reader_loop() {
   sim::MutexLock lock(mu_);
-  BufferedRecordReader reader(*transport_);
+  RecordReader reader(*transport_, RecordReader::kDefaultMaxRecord,
+                      RecordReader::kPipelinedReadAhead);
   std::uint64_t generation = generation_;
   std::vector<std::uint8_t> record;
   for (;;) {
@@ -292,7 +293,8 @@ void RpcClient::reader_loop() {
       return;
     if (generation_ != generation) {
       // A reconnect replaced the connection: read the new one.
-      reader = BufferedRecordReader(*transport_);
+      reader = RecordReader(*transport_, RecordReader::kDefaultMaxRecord,
+                            RecordReader::kPipelinedReadAhead);
       generation = generation_;
     }
   }

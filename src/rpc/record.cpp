@@ -1,6 +1,7 @@
 #include "rpc/record.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace cricket::rpc {
 namespace {
@@ -13,6 +14,11 @@ void put_header(std::uint8_t out[4], std::uint32_t len, bool last) {
   out[1] = static_cast<std::uint8_t>(h >> 16);
   out[2] = static_cast<std::uint8_t>(h >> 8);
   out[3] = static_cast<std::uint8_t>(h);
+}
+
+std::uint32_t get_header(const std::uint8_t in[4]) {
+  return (std::uint32_t{in[0]} << 24) | (std::uint32_t{in[1]} << 16) |
+         (std::uint32_t{in[2]} << 8) | std::uint32_t{in[3]};
 }
 
 }  // namespace
@@ -50,77 +56,68 @@ void append_record_marked(std::vector<std::uint8_t>& out,
   } while (off < record.size());
 }
 
+bool RecordReader::take(std::span<std::uint8_t> dst, bool eof_ok) {
+  for (;;) {
+    const std::size_t n = std::min(dst.size(), buf_.size() - pos_);
+    if (n > 0) {
+      std::memcpy(dst.data(), buf_.data() + pos_, n);
+      pos_ += n;
+      dst = dst.subspan(n);
+      eof_ok = false;
+    }
+    if (dst.empty()) return true;
+    // The buffer is drained here. Bytes that would not fit a read-ahead
+    // chunk skip it; anything smaller refills it.
+    std::size_t got;
+    if (dst.size() >= read_ahead_) {
+      got = transport_->recv(dst);
+      dst = dst.subspan(got);
+    } else {
+      buf_.resize(read_ahead_);
+      pos_ = read_ahead_;  // still empty if recv throws (a timeout)
+      got = transport_->recv(buf_);
+      buf_.resize(got);
+      pos_ = 0;
+    }
+    if (got == 0) {
+      if (eof_ok) return false;
+      throw TransportError("connection closed mid-message");
+    }
+    eof_ok = false;
+  }
+}
+
 bool RecordReader::read_record(std::vector<std::uint8_t>& out) {
   out.clear();
-  bool first = true;
-  for (;;) {
+  for (bool first = true;; first = false) {
     std::uint8_t hdr[4];
-    if (first) {
-      // Distinguish clean EOF (no record) from truncation.
-      const std::size_t n = transport_->recv(std::span(hdr, 4));
-      if (n == 0) return false;
-      if (n < 4) transport_->recv_exact(std::span(hdr + n, 4 - n));
-    } else {
-      transport_->recv_exact(hdr);
-    }
-    first = false;
-    const std::uint32_t h = (std::uint32_t{hdr[0]} << 24) |
-                            (std::uint32_t{hdr[1]} << 16) |
-                            (std::uint32_t{hdr[2]} << 8) | std::uint32_t{hdr[3]};
-    const bool last = (h & kLastFragmentBit) != 0;
+    // Clean EOF (no record) is only legal before the first header byte.
+    if (!take(hdr, first)) return false;
+    const std::uint32_t h = get_header(hdr);
     const std::uint32_t len = h & ~kLastFragmentBit;
     if (out.size() + len > max_record_)
       throw TransportError("RPC record exceeds maximum size");
     const std::size_t old = out.size();
     out.resize(old + len);
-    if (len > 0)
-      transport_->recv_exact(std::span(out.data() + old, len));
-    if (last) return true;
+    (void)take(std::span(out.data() + old, len), false);
+    if ((h & kLastFragmentBit) != 0) return true;
   }
 }
 
-bool BufferedRecordReader::fill(std::size_t need) {
-  // Compact once the consumed prefix dominates, keeping the buffer small.
-  if (pos_ > 0 && (pos_ == buf_.size() || pos_ >= chunk_)) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
+bool RecordReader::has_record() const noexcept {
+  // Walks untrusted fragment lengths: every step is bounded by the bytes
+  // actually buffered, and the running total by max_record_.
+  std::size_t at = pos_;
+  std::size_t total = 0;
+  while (buf_.size() - at >= 4) {
+    const std::uint32_t h = get_header(buf_.data() + at);
+    const std::size_t len = h & ~kLastFragmentBit;
+    total += len;
+    if (total > max_record_ || buf_.size() - at - 4 < len) return false;
+    at += 4 + len;
+    if ((h & kLastFragmentBit) != 0) return true;
   }
-  while (buf_.size() - pos_ < need) {
-    const std::size_t old = buf_.size();
-    buf_.resize(old + chunk_);
-    const std::size_t n = transport_->recv(std::span(buf_.data() + old, chunk_));
-    buf_.resize(old + n);
-    if (n == 0) return false;
-  }
-  return true;
-}
-
-bool BufferedRecordReader::read_record(std::vector<std::uint8_t>& out) {
-  out.clear();
-  bool first = true;
-  for (;;) {
-    if (!fill(4)) {
-      if (first && buf_.size() == pos_) return false;  // clean EOF
-      throw TransportError("EOF inside RPC record");
-    }
-    const std::uint8_t* hdr = buf_.data() + pos_;
-    const std::uint32_t h = (std::uint32_t{hdr[0]} << 24) |
-                            (std::uint32_t{hdr[1]} << 16) |
-                            (std::uint32_t{hdr[2]} << 8) | std::uint32_t{hdr[3]};
-    pos_ += 4;
-    first = false;
-    const bool last = (h & kLastFragmentBit) != 0;
-    const std::uint32_t len = h & ~kLastFragmentBit;
-    if (out.size() + len > max_record_)
-      throw TransportError("RPC record exceeds maximum size");
-    if (len > 0) {
-      if (!fill(len)) throw TransportError("EOF inside RPC record");
-      out.insert(out.end(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                 buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-      pos_ += len;
-    }
-    if (last) return true;
-  }
+  return false;
 }
 
 }  // namespace cricket::rpc

@@ -48,15 +48,29 @@ void append_record_marked(std::vector<std::uint8_t>& out,
                               RecordWriter::kDefaultMaxFragment);
 
 /// Reads one complete record (reassembling fragments) per call.
+///
+/// `read_ahead` 0 issues exact reads: the first header, the rest of it, then
+/// each fragment body straight into the output record. A nonzero
+/// `read_ahead` pulls up to that many bytes per recv into an internal buffer
+/// instead, so one recv covers many small back-to-back records (pipelined
+/// calls, coalesced replies); fragment bodies at least that large still go
+/// straight into the record.
 class RecordReader {
  public:
   explicit RecordReader(Transport& transport,
-                        std::size_t max_record = kDefaultMaxRecord)
-      : transport_(&transport), max_record_(max_record) {}
+                        std::size_t max_record = kDefaultMaxRecord,
+                        std::size_t read_ahead = 0)
+      : transport_(&transport), max_record_(max_record),
+        read_ahead_(read_ahead) {}
 
   /// Returns false on clean end-of-stream before any fragment; throws
   /// TransportError on mid-record EOF or an over-size record.
   [[nodiscard]] bool read_record(std::vector<std::uint8_t>& out);
+
+  /// True when the read-ahead buffer already holds a whole record, so the
+  /// next read_record() returns without touching the transport. Always
+  /// false at read-ahead 0.
+  [[nodiscard]] bool has_record() const noexcept;
 
   /// Largest legitimate record: the CRICKET_MAX_PAYLOAD opaque bound
   /// (1 GiB, mirrored by rpclgen's kProcBudget) plus a 64 KiB envelope for
@@ -66,36 +80,17 @@ class RecordReader {
   static constexpr std::size_t kDefaultMaxRecord =
       (std::size_t{1} << 30) + (std::size_t{64} << 10);
 
- private:
-  Transport* transport_;
-  std::size_t max_record_;
-};
-
-/// Record reader that pulls large chunks off the transport into an internal
-/// buffer instead of issuing exact-size reads per header/fragment. When many
-/// small records arrive back-to-back (pipelined calls, coalesced replies)
-/// one recv covers them all, so per-recv costs amortize. Semantics match
-/// RecordReader: one complete record per read_record call, false on clean
-/// EOF at a record boundary, TransportError on mid-record EOF.
-class BufferedRecordReader {
- public:
-  explicit BufferedRecordReader(Transport& transport,
-                                std::size_t chunk = kDefaultChunk,
-                                std::size_t max_record =
-                                    RecordReader::kDefaultMaxRecord)
-      : transport_(&transport), chunk_(chunk), max_record_(max_record) {}
-
-  [[nodiscard]] bool read_record(std::vector<std::uint8_t>& out);
-
-  static constexpr std::size_t kDefaultChunk = 64 * 1024;
+  /// The read-ahead the pipelined paths use.
+  static constexpr std::size_t kPipelinedReadAhead = 64 * 1024;
 
  private:
-  /// Ensures at least `need` buffered bytes; returns false on EOF first.
-  [[nodiscard]] bool fill(std::size_t need);
+  /// Fills `dst` from the buffer, then the transport. Returns false when the
+  /// stream ends before the first byte and `eof_ok`; throws on any other EOF.
+  [[nodiscard]] bool take(std::span<std::uint8_t> dst, bool eof_ok);
 
   Transport* transport_;
-  std::size_t chunk_;
   std::size_t max_record_;
+  std::size_t read_ahead_;
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;  // consumed prefix of buf_
 };

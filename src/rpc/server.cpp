@@ -1,7 +1,5 @@
 #include "rpc/server.hpp"
 
-#include <deque>
-
 #include "obs/trace.hpp"
 #include "xdr/taint.hpp"
 
@@ -149,8 +147,8 @@ ReplyMsg ServiceRegistry::dispatch(const CallMsg& call) const {
         return it->second.reply;
       }
       if (drc.in_flight.find(key) == drc.in_flight.end()) break;
-      // The original attempt is still executing on another worker. Wait for
-      // its reply rather than racing a second execution of the same call.
+      // The original attempt is still executing on another connection. Wait
+      // for its reply rather than racing a second execution of the same call.
       ++drc.stats.in_flight_waits;
       drc.cv.wait(drc.mu);
     }
@@ -226,18 +224,20 @@ ReplyMsg ServiceRegistry::execute(const CallMsg& call) const {
 
 namespace {
 
-/// What one received record asks of a serve loop: a reply to send without
-/// dispatch, a call to dispatch, or neither (the record is dropped).
+/// What a record asks for: a reply without dispatch, a call, or neither.
 struct Intake {
   std::optional<ReplyMsg> rejected;
   std::optional<CallMsg> call;
 };
 
-/// The intake step both serve loops share: the wire-size pre-flight
-/// (GARBAGE_ARGS for out-of-bounds lengths) and tenant admission (typed
-/// quota/auth/migrating rejections) answer without ever decoding; anything
-/// admitted is decoded. A record that does not decode is dropped — a server
-/// cannot reply without an xid it trusts — and its admission slot released.
+/// Pipelined mode sends the coalesced replies once this many bytes wait.
+constexpr std::size_t kMaxUnsentReplyBytes = 64 * 1024;
+
+/// The wire-size pre-flight (GARBAGE_ARGS for out-of-bounds lengths) and
+/// tenant admission (typed quota/auth/migrating rejections) answer without
+/// ever decoding; anything admitted is decoded. A record that does not
+/// decode is dropped — a server cannot reply without an xid it trusts — and
+/// its admission slot released.
 Intake intake(const ServiceRegistry& registry,
               std::span<const std::uint8_t> record) {
   if (auto rejected = registry.preflight(record))
@@ -252,200 +252,50 @@ Intake intake(const ServiceRegistry& registry,
   }
 }
 
-/// Pipelined connection service: reader (caller thread) -> bounded worker
-/// pool -> coalescing writer thread. Replies complete out of order when
-/// more than one worker runs; the client matches them by xid.
-class PipelinedConnection {
- public:
-  PipelinedConnection(const ServiceRegistry& registry, Transport& transport,
-                      const ServeOptions& options)
-      : registry_(&registry), transport_(&transport), options_(options) {}
-
-  void run() CRICKET_EXCLUDES(mu_) {
-    for (std::uint32_t i = 0; i < options_.workers; ++i)
-      workers_.emplace_back([this] { worker_loop(); });
-    std::thread writer([this] { writer_loop(); });
-
-    read_loop();
-
-    {
-      sim::MutexLock lock(mu_);
-      intake_done_ = true;
-    }
-    work_cv_.notify_all();
-    for (auto& w : workers_) w.join();
-    {
-      sim::MutexLock lock(mu_);
-      workers_done_ = true;
-    }
-    reply_cv_.notify_all();
-    writer.join();
-  }
-
- private:
-  void read_loop() CRICKET_EXCLUDES(mu_) {
-    BufferedRecordReader reader(*transport_);
-    std::vector<std::uint8_t> record;
-    for (;;) {
-      try {
-        if (!reader.read_record(record)) return;  // clean EOF
-      } catch (const TransportError&) {
-        return;  // peer vanished mid-record; nothing to reply to
-      }
-      Intake step = intake(*registry_, record);
-      if (!step.rejected && !step.call) continue;
-      // Rejections take the normal writer path (and an in-flight slot) so
-      // ordering and backpressure stay uniform.
-      sim::MutexLock lock(mu_);
-      while (in_flight_ >= options_.max_in_flight && !write_failed_)
-        slots_cv_.wait(mu_);
-      if (write_failed_) return;
-      ++in_flight_;
-      if (step.rejected) {
-        ready_.push_back(encode_reply(*step.rejected));
-        lock.unlock();
-        reply_cv_.notify_one();
-      } else {
-        queue_.push_back(std::move(*step.call));
-        lock.unlock();
-        work_cv_.notify_one();
-      }
-    }
-  }
-
-  void worker_loop() CRICKET_EXCLUDES(mu_) {
-    for (;;) {
-      sim::MutexLock lock(mu_);
-      while (queue_.empty() && !intake_done_ && !write_failed_)
-        work_cv_.wait(mu_);
-      if (queue_.empty()) return;  // intake done or writer dead: drain over
-      CallMsg call = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      std::vector<std::uint8_t> record;
-      {
-        // The xid crosses from the reader thread to this worker inside the
-        // CallMsg; re-establish it so dispatch-side spans line up with the
-        // client-side spans of the same call.
-        const obs::ScopedXid trace_xid(call.xid);
-        obs::Span span(obs::Layer::kServerDispatch, nullptr,
-                       call.args.size());
-        record = encode_reply(registry_->dispatch(call));
-      }
-      registry_->admission_complete();
-      lock.lock();
-      ready_.push_back(std::move(record));
-      lock.unlock();
-      reply_cv_.notify_one();
-    }
-  }
-
-  void writer_loop() CRICKET_EXCLUDES(mu_) {
-    RecordWriter writer(*transport_, options_.max_fragment);
-    std::vector<std::vector<std::uint8_t>> batch;
-    std::vector<std::uint8_t> wire;
-    for (;;) {
-      {
-        sim::MutexLock lock(mu_);
-        while (ready_.empty() && !(workers_done_ && queue_.empty()))
-          reply_cv_.wait(mu_);
-        if (ready_.empty()) return;  // drained and no more producers
-        batch.swap(ready_);
-      }
-      try {
-        std::size_t batch_bytes = 0;
-        for (const auto& r : batch) batch_bytes += r.size();
-        obs::Span span(obs::Layer::kServerReply, nullptr, batch_bytes);
-        if (options_.coalesce_replies) {
-          wire.clear();
-          for (const auto& r : batch)
-            append_record_marked(wire, r, options_.max_fragment);
-          transport_->send(wire);
-        } else {
-          for (const auto& r : batch) writer.write_record(r);
-        }
-      } catch (const TransportError&) {
-        sim::MutexLock lock(mu_);
-        write_failed_ = true;
-        slots_cv_.notify_all();
-        work_cv_.notify_all();
-        return;
-      }
-      {
-        sim::MutexLock lock(mu_);
-        in_flight_ -= static_cast<std::uint32_t>(batch.size());
-      }
-      slots_cv_.notify_all();
-      batch.clear();
-    }
-  }
-
-  const ServiceRegistry* registry_;
-  Transport* transport_;
-  ServeOptions options_;
-
-  sim::Mutex mu_;
-  sim::CondVar work_cv_;   // workers: calls available
-  sim::CondVar reply_cv_;  // writer: replies available
-  sim::CondVar slots_cv_;  // reader: in-flight slots free
-  std::deque<CallMsg> queue_ CRICKET_GUARDED_BY(mu_);
-  // Encoded reply records awaiting the writer.
-  std::vector<std::vector<std::uint8_t>> ready_ CRICKET_GUARDED_BY(mu_);
-  std::vector<std::thread> workers_;  // touched by run() only
-  // Decoded but not yet written.
-  std::uint32_t in_flight_ CRICKET_GUARDED_BY(mu_) = 0;
-  bool intake_done_ CRICKET_GUARDED_BY(mu_) = false;
-  bool workers_done_ CRICKET_GUARDED_BY(mu_) = false;
-  bool write_failed_ CRICKET_GUARDED_BY(mu_) = false;
-};
-
-}  // namespace
-
-namespace {
-
-void serve_serial(const ServiceRegistry& registry, Transport& transport,
-                  std::uint32_t max_fragment) {
-  RecordReader reader(transport);
-  RecordWriter writer(transport, max_fragment);
-  std::vector<std::uint8_t> record;
-  for (;;) {
-    try {
-      if (!reader.read_record(record)) return;  // clean EOF
-    } catch (const TransportError&) {
-      return;  // peer vanished mid-record; nothing to reply to
-    }
-    Intake step = intake(registry, record);
-    if (!step.rejected && !step.call) continue;
-    ReplyMsg reply;
-    if (step.rejected) {
-      reply = std::move(*step.rejected);
-    } else {
-      {
-        const obs::ScopedXid trace_xid(step.call->xid);
-        obs::Span span(obs::Layer::kServerDispatch, nullptr,
-                       step.call->args.size());
-        reply = registry.dispatch(*step.call);
-      }
-      registry.admission_complete();
-    }
-    try {
-      const obs::ScopedXid trace_xid(reply.xid);
-      obs::Span span(obs::Layer::kServerReply);
-      writer.write_record(encode_reply(reply));
-    } catch (const TransportError&) {
-      return;
-    }
-  }
-}
-
 }  // namespace
 
 void serve_transport(const ServiceRegistry& registry, Transport& transport,
                      const ServeOptions& options) {
-  if (options.workers > 0) {
-    PipelinedConnection(registry, transport, options).run();
-  } else {
-    serve_serial(registry, transport, options.max_fragment);
+  const bool pipelined = options.workers != 0;
+  RecordReader reader(transport, RecordReader::kDefaultMaxRecord,
+                      pipelined ? RecordReader::kPipelinedReadAhead : 0);
+  RecordWriter writer(transport);
+  std::vector<std::uint8_t> record;
+  std::vector<std::uint8_t> unsent;  // pipelined: coalesced reply records
+  try {
+    for (;;) {
+      // Coalesced replies leave before a read could block on the peer.
+      if (!unsent.empty() && (unsent.size() >= kMaxUnsentReplyBytes ||
+                              !reader.has_record())) {
+        obs::Span span(obs::Layer::kServerReply, nullptr, unsent.size());
+        transport.send(unsent);
+        unsent.clear();
+      }
+      if (!reader.read_record(record)) break;  // clean EOF
+      Intake step = intake(registry, record);
+      if (!step.rejected && !step.call) continue;
+      ReplyMsg reply;
+      if (step.rejected) {
+        reply = std::move(*step.rejected);
+      } else {
+        {
+          const obs::ScopedXid trace_xid(step.call->xid);
+          obs::Span span(obs::Layer::kServerDispatch, nullptr,
+                         step.call->args.size());
+          reply = registry.dispatch(*step.call);
+        }
+        registry.admission_complete();
+      }
+      const obs::ScopedXid trace_xid(reply.xid);
+      if (pipelined) {
+        append_record_marked(unsent, encode_reply(reply));
+      } else {
+        obs::Span span(obs::Layer::kServerReply);
+        writer.write_record(encode_reply(reply));
+      }
+    }
+  } catch (const TransportError&) {
+    // The peer vanished mid-record or stopped reading: nothing to reply to.
   }
   // Half-close our write side so a pipelined client's reader thread, which
   // blocks on recv between replies, observes end-of-stream.
@@ -455,9 +305,22 @@ void serve_transport(const ServiceRegistry& registry, Transport& transport,
   }
 }
 
-void serve_transport(const ServiceRegistry& registry, Transport& transport,
-                     std::uint32_t max_fragment) {
-  serve_transport(registry, transport, ServeOptions{.max_fragment = max_fragment});
+void ConnectionThreads::spawn(std::function<void()> serve) {
+  connections_.remove_if([](Connection& c) {
+    if (!c.done.load()) return false;
+    c.thread.join();
+    return true;
+  });
+  Connection& c = connections_.emplace_back();
+  c.thread = std::thread([&done = c.done, serve = std::move(serve)] {
+    serve();
+    done.store(true);
+  });
+}
+
+void ConnectionThreads::join_all() {
+  for (auto& c : connections_) c.thread.join();
+  connections_.clear();
 }
 
 TcpRpcServer::TcpRpcServer(const ServiceRegistry& registry,
@@ -478,7 +341,7 @@ void TcpRpcServer::accept_loop() {
     auto conn = listener_->accept();
     if (!conn || stopping_.load()) return;
     sim::MutexLock lock(mu_);
-    workers_.emplace_back(
+    connections_.spawn(
         [this, c = std::shared_ptr<TcpTransport>(std::move(conn))] {
           serve_transport(*registry_, *c, options_);
         });
@@ -490,9 +353,7 @@ void TcpRpcServer::stop() {
   listener_->close();
   if (accept_thread_.joinable()) accept_thread_.join();
   sim::MutexLock lock(mu_);
-  for (auto& w : workers_)
-    if (w.joinable()) w.join();
-  workers_.clear();
+  connections_.join_all();
 }
 
 }  // namespace cricket::rpc

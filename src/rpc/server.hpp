@@ -4,13 +4,15 @@
 // dispatch code routes each procedure number to a CUDA-executing handler.
 // Here the cricket module registers its handlers into a ServiceRegistry and
 // either serves a single in-process transport (simulated environments) or a
-// real TCP listener with one thread per connection.
+// real TCP listener with one thread per connection. Each connection runs
+// read → dispatch → reply on that thread, one call at a time (§4.2).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -77,9 +79,8 @@ struct DrcExportEntry {
 /// normal reply path, so the connection always survives a rejection.
 /// complete() fires exactly once per admitted record once its reply has
 /// been produced (or the record proved undecodable), releasing
-/// outstanding-call accounting. Implementations must be thread-safe:
-/// admit() runs on the connection's reader thread while complete() runs on
-/// a pipelined worker.
+/// outstanding-call accounting. Both run on the connection's serving
+/// thread; state shared with other connections still needs its own locks.
 class AdmissionController {
  public:
   virtual ~AdmissionController() = default;
@@ -180,7 +181,7 @@ class ServiceRegistry {
   void set_admission(AdmissionController* admission) noexcept {
     admission_ = admission;
   }
-  /// Admission hooks consulted by the serve loops between pre-flight and
+  /// Admission hooks consulted by the serve loop between pre-flight and
   /// decode. No controller installed = everything admitted.
   [[nodiscard]] std::optional<ReplyMsg> admit(
       std::span<const std::uint8_t> record) const;
@@ -208,8 +209,8 @@ class ServiceRegistry {
 
   /// The cache lives on the heap so the registry stays movable (sim::Mutex
   /// is neither movable nor copyable). Null until enable_duplicate_cache.
-  /// dispatch() is const and concurrent (pipelined workers), so all cache
-  /// state sits behind its own lock.
+  /// dispatch() is const and concurrent (connections sharing a registry),
+  /// so all cache state sits behind its own lock.
   struct DrcState {
     DrcOptions options;
     sim::Mutex mu;
@@ -232,39 +233,45 @@ class ServiceRegistry {
   AdmissionController* admission_ = nullptr;
 };
 
-/// Per-connection concurrency options. The default reproduces the paper's
-/// single-threaded RPC processing: decode, dispatch, reply — strictly in
-/// order, one call in flight.
+/// Per-connection serving options. They choose only the wire shape: calls
+/// always execute one at a time, in arrival order, on the serving thread.
 struct ServeOptions {
-  std::uint32_t max_fragment = RecordWriter::kDefaultMaxFragment;
-  /// 0 = classic synchronous loop. >0 = pipelined mode: calls are decoded as
-  /// fast as they arrive and dispatched to a bounded pool of this many
-  /// worker threads, so several calls from one connection execute
-  /// concurrently and replies may complete out of order (clients match them
-  /// by xid). One worker keeps execution FIFO while still overlapping
-  /// decode/execute/reply — the mode the Cricket server uses to preserve
-  /// CUDA stream semantics.
+  /// 0 = the paper's serial wire shape: exact reads, and one record write
+  /// per reply. Any nonzero value means pipelined intake: 64 KiB read-ahead,
+  /// and replies are coalesced into one send until the next call is not yet
+  /// whole in the read buffer, 64 KiB of replies wait, or the stream ends.
   std::uint32_t workers = 0;
-  /// Pipelined mode: cap on decoded-but-unreplied calls; the reader stalls
-  /// at the cap so a flooding client cannot balloon server memory.
-  std::uint32_t max_in_flight = 64;
-  /// Pipelined mode: coalesce all replies that are ready back-to-back into
-  /// one record-marked transport send (amortizes per-send cost; the mirror
-  /// image of the client-side small-call batcher).
-  bool coalesce_replies = true;
 };
 
-/// Serves RPC records on one transport until end-of-stream. Runs inline on
-/// the calling thread (pipelined mode spawns its workers internally and
-/// joins them before returning); spawn your own thread for background
-/// service.
+/// Serves RPC records on one transport until end-of-stream, inline on the
+/// calling thread; spawn your own thread for background service.
 void serve_transport(const ServiceRegistry& registry, Transport& transport,
-                     const ServeOptions& options);
-void serve_transport(const ServiceRegistry& registry, Transport& transport,
-                     std::uint32_t max_fragment = RecordWriter::kDefaultMaxFragment);
+                     const ServeOptions& options = {});
 
-/// Threaded TCP server: accept loop plus one detached-joinable thread per
-/// connection. Owns the listener.
+/// The serving threads of a multi-connection server, one per connection.
+/// spawn() first joins the threads whose connection has ended, so a
+/// long-running server keeps a thread and its stack only per live
+/// connection. Used by one thread at a time.
+class ConnectionThreads {
+ public:
+  ConnectionThreads() = default;
+  ConnectionThreads(const ConnectionThreads&) = delete;
+  ConnectionThreads& operator=(const ConnectionThreads&) = delete;
+  ~ConnectionThreads() { join_all(); }
+
+  void spawn(std::function<void()> serve);
+  void join_all();
+
+ private:
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections_;  // list: `done` must not move
+};
+
+/// Threaded TCP server: accept loop plus one serving thread per connection.
+/// Owns the listener.
 class TcpRpcServer {
  public:
   TcpRpcServer(const ServiceRegistry& registry,
@@ -286,7 +293,7 @@ class TcpRpcServer {
   ServeOptions options_;
   std::thread accept_thread_;
   sim::Mutex mu_;
-  std::vector<std::thread> workers_ CRICKET_GUARDED_BY(mu_);
+  ConnectionThreads connections_ CRICKET_GUARDED_BY(mu_);
   std::atomic<bool> stopping_{false};
 };
 

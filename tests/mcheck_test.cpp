@@ -393,8 +393,8 @@ TEST(ModelScheduler, VtimeAccountingSurvivesInterleaving) {
   EXPECT_TRUE(r.exhausted);
 }
 
-// Core 4: the DRC condvar parking race. Two workers dispatch the same xid
-// concurrently; at-most-once demands the handler executes exactly once —
+// Core 4: the DRC condvar parking race. Two connections sharing one
+// registry (TcpRpcServer) dispatch the same xid concurrently; at-most-once demands the handler executes exactly once —
 // the duplicate either hits the cache or parks on the condvar until the
 // first execution completes, then answers from cache.
 TEST(ModelDrc, DuplicateDispatchExecutesHandlerOnce) {

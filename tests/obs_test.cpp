@@ -341,7 +341,7 @@ TEST_F(TraceTest, ConcurrentSpansAndCollect) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-thread xid propagation through a pipelined RPC server
+// Cross-thread xid stitching through an RPC server with pipelined intake
 // ---------------------------------------------------------------------------
 
 TEST_F(TraceTest, PipelinedServerHandsXidAcrossThreads) {
@@ -370,7 +370,7 @@ TEST_F(TraceTest, PipelinedServerHandsXidAcrossThreads) {
   bool found_cross_thread = false;
   for (const auto& dispatch : events) {
     if (std::string(dispatch.name) != "server.dispatch") continue;
-    ASSERT_NE(dispatch.xid, 0u) << "worker threads must inherit the call xid";
+    ASSERT_NE(dispatch.xid, 0u) << "the serve loop must set the call xid";
     for (const auto& client_ev : events) {
       if (std::string(client_ev.name) != "client.serialize") continue;
       if (client_ev.xid == dispatch.xid && client_ev.tid != dispatch.tid)

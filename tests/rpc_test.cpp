@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -106,6 +109,30 @@ TEST(RpcClientDepth, DepthOneRunsOnTheCallersThreadOnly) {
     EXPECT_EQ(thread_count(), before);  // no reader, no retry thread
   }
   server.join();
+}
+
+TEST(ServeLoop, StartsNoThread) {
+  constexpr std::uint32_t kProcThreads = 1;
+  ServiceRegistry registry;
+  registry.register_typed<std::uint32_t>(kProg, kVers, kProcThreads, [] {
+    return static_cast<std::uint32_t>(thread_count());
+  });
+  for (const std::uint32_t workers : {0u, 1u}) {
+    auto [client_end, server_end] = make_pipe_pair();
+    std::size_t at_start = 0;
+    std::thread server([&registry, &server_end, &at_start, workers] {
+      at_start = thread_count();
+      serve_transport(registry, *server_end, ServeOptions{.workers = workers});
+    });
+    std::size_t in_handler = 0;
+    {
+      RpcClient client(std::move(client_end), kProg, kVers);  // no thread
+      in_handler = client.call<std::uint32_t>(kProcThreads);
+    }
+    server.join();
+    // The handler runs inside the serve loop, which added no thread.
+    EXPECT_EQ(in_handler, at_start) << "workers = " << workers;
+  }
 }
 
 TEST_F(RpcPipeTest, TypedCallReturnsSum) {
@@ -839,6 +866,31 @@ TEST(RpcTcp, MultipleConcurrentClients) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  return static_cast<std::size_t>(
+      std::count(std::istreambuf_iterator<char>(maps),
+                 std::istreambuf_iterator<char>(), '\n'));
+}
+
+TEST(RpcTcp, FinishedConnectionThreadsAreJoined) {
+  const ServiceRegistry reg = make_test_registry();
+  TcpRpcServer server(reg, std::make_unique<TcpListener>());
+  const auto connect_call_close = [&server] {
+    RpcClient client(TcpTransport::connect_loopback(server.port()), kProg,
+                     kVers);
+    EXPECT_EQ((client.call<std::uint32_t>(kProcAdd, 1u, 2u)), 3u);
+  };
+  constexpr std::size_t kConnections = 64;
+  for (int i = 0; i < 8; ++i) connect_call_close();  // settle the allocator
+  const std::size_t before = mapping_count();
+  for (std::size_t i = 0; i < kConnections; ++i) connect_call_close();
+  // A finished thread that is never joined keeps its stack and guard page
+  // mapped, two lines per connection; joined ones hand their stacks back
+  // for the next connection. Sanitizer runtimes map a few of their own.
+  EXPECT_LT(mapping_count(), before + kConnections);
 }
 
 // ------------------------------- byte queues --------------------------------

@@ -1,11 +1,12 @@
 // Pipelining: rpc::RpcClient above max_outstanding 1, the small-call
-// batcher, the pipelined server loop, and the pipelined Cricket client
-// end-to-end.
+// batcher, the serve loop's pipelined intake, and the pipelined Cricket
+// client end-to-end.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "workloads/histogram.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/matrix_mul.hpp"
+#include "xdr/xdr.hpp"
 
 namespace cricket::rpc {
 namespace {
@@ -141,6 +143,75 @@ TEST(CallBatcherTest, ExplicitFlushDrainsTheBuffer) {
   EXPECT_EQ(wire.sends(), 1u);
 }
 
+/// Forwards to a real transport and counts the sends through it.
+class CountingTransport final : public rpc::Transport {
+ public:
+  explicit CountingTransport(rpc::Transport& inner) : inner_(&inner) {}
+  void send(std::span<const std::uint8_t> data) override {
+    sends_.fetch_add(1);
+    inner_->send(data);
+  }
+  std::size_t recv(std::span<std::uint8_t> out) override {
+    return inner_->recv(out);
+  }
+  void shutdown() override { inner_->shutdown(); }
+
+  [[nodiscard]] std::uint64_t sends() const { return sends_.load(); }
+
+ private:
+  rpc::Transport* inner_;
+  std::atomic<std::uint64_t> sends_{0};
+};
+
+TEST(PipelinedServeTest, OneSendOfCallsGetsOneSendOfReplies) {
+  constexpr std::uint32_t kCalls = 8;
+  rpc::ServiceRegistry registry;
+  registry.register_typed<std::uint32_t, std::uint32_t, std::uint32_t>(
+      kProg, kVers, kProcDelayEcho,
+      [](std::uint32_t value, std::uint32_t delay_ms) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+        return value;
+      });
+  auto [client_end, server_end] = rpc::make_pipe_pair();
+  CountingTransport counted(*server_end);
+  std::thread server([&registry, &counted] {
+    rpc::serve_transport(registry, counted, rpc::ServeOptions{.workers = 1});
+  });
+
+  std::vector<std::uint8_t> batch;
+  for (std::uint32_t i = 0; i < kCalls; ++i) {
+    rpc::CallMsg call;
+    call.xid = 100 + i;
+    call.prog = kProg;
+    call.vers = kVers;
+    call.proc = kProcDelayEcho;
+    // Slow enough that a reply is ready well before the next call is done:
+    // still, the replies wait while the next call is already buffered.
+    xdr::Encoder args;
+    xdr_encode(args, i);
+    xdr_encode(args, std::uint32_t{2});
+    call.args = args.take();
+    rpc::append_record_marked(batch, rpc::encode_call(call));
+  }
+  client_end->send(batch);
+  client_end->shutdown();  // half-close right after the batch
+
+  rpc::RecordReader reader(*client_end);
+  std::vector<std::uint8_t> record;
+  for (std::uint32_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(reader.read_record(record));
+    const rpc::ReplyMsg reply = rpc::decode_reply(record);
+    EXPECT_EQ(reply.xid, 100 + i);
+    xdr::Decoder results(reply.results);
+    std::uint32_t value = 0;
+    xdr_decode(results, value);
+    EXPECT_EQ(value, i);
+  }
+  EXPECT_FALSE(reader.read_record(record));  // the server half-closed too
+  server.join();
+  EXPECT_EQ(counted.sends(), 1u);
+}
+
 /// Pipe-connected pipelined client + pipelined server with concurrency
 /// probes.
 class ChannelHarness {
@@ -196,31 +267,53 @@ class ChannelHarness {
 };
 
 TEST(AsyncRpcChannelTest, OutOfOrderRepliesMatchTheirCalls) {
-  ChannelHarness h(rpc::ServeOptions{.workers = 4, .max_in_flight = 16},
-                   ClientOptions{.max_outstanding = 16});
-  // The first call sleeps; the rest complete immediately on other workers,
-  // so their replies overtake it on the wire.
-  auto slow = h.channel().call_async<std::uint32_t>(
+  auto [client_end, server_end] = rpc::make_pipe_pair();
+  RpcClient channel(std::move(client_end), kProg, kVers,
+                    ClientOptions{.max_outstanding = 16});
+  // Scripted server: reads all four calls, then answers them newest first,
+  // so each reply overtakes the calls issued before it. The first call's
+  // reply waits for `release`, to show the others arrived while it had not.
+  std::promise<void> release;
+  std::thread server([&server_end, released = release.get_future()] {
+    rpc::RecordReader reader(*server_end);
+    std::vector<rpc::CallMsg> calls;
+    std::vector<std::uint8_t> record;
+    while (calls.size() < 4 && reader.read_record(record))
+      calls.push_back(rpc::decode_call(record));
+    rpc::RecordWriter writer(*server_end);
+    for (auto it = calls.rbegin(); it != calls.rend(); ++it) {
+      if (it + 1 == calls.rend()) released.wait();
+      rpc::ReplyMsg reply;
+      reply.xid = it->xid;
+      // kProcDelayEcho answers its first argument.
+      reply.results.assign(it->args.begin(), it->args.begin() + 4);
+      writer.write_record(rpc::encode_reply(reply));
+    }
+    server_end->shutdown();
+  });
+  auto slow = channel.call_async<std::uint32_t>(
       kProcDelayEcho, std::uint32_t{111}, std::uint32_t{150});
   std::vector<TypedFuture<std::uint32_t>> fast;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    fast.push_back(h.channel().call_async<std::uint32_t>(
+    fast.push_back(channel.call_async<std::uint32_t>(
         kProcDelayEcho, 1000 + i, std::uint32_t{0}));
   }
-  h.channel().flush();
+  channel.flush();
   for (std::uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(fast[i].get(), 1000 + i);
   }
-  EXPECT_FALSE(slow.ready());  // fast replies arrived while it still ran
+  EXPECT_FALSE(slow.ready());  // the later calls' replies overtook it
+  release.set_value();
   EXPECT_EQ(slow.get(), 111u);
-  const auto stats = h.channel().stats();
+  server.join();
+  const auto stats = channel.stats();
   EXPECT_EQ(stats.calls, 4u);
   EXPECT_EQ(stats.replies, 4u);
   EXPECT_EQ(stats.unmatched, 0u);
 }
 
 TEST(AsyncRpcChannelTest, WindowSaturatesAtMaxOutstanding) {
-  ChannelHarness h(rpc::ServeOptions{.workers = 4, .max_in_flight = 64},
+  ChannelHarness h(rpc::ServeOptions{.workers = 4},
                    ClientOptions{.max_outstanding = 4});
   std::vector<TypedFuture<std::uint32_t>> futures;
   for (std::uint32_t i = 0; i < 32; ++i) {
@@ -236,8 +329,8 @@ TEST(AsyncRpcChannelTest, WindowSaturatesAtMaxOutstanding) {
   EXPECT_EQ(stats.max_in_flight, 4u);  // saturated, never exceeded
 }
 
-TEST(AsyncRpcChannelTest, ServerWorkerPoolRunsHandlersConcurrently) {
-  ChannelHarness h(rpc::ServeOptions{.workers = 4, .max_in_flight = 16},
+TEST(AsyncRpcChannelTest, OneConnectionRunsOneHandlerAtATime) {
+  ChannelHarness h(rpc::ServeOptions{.workers = 4},
                    ClientOptions{.max_outstanding = 16});
   std::vector<TypedFuture<std::uint32_t>> futures;
   for (std::uint32_t i = 0; i < 8; ++i) {
@@ -247,13 +340,13 @@ TEST(AsyncRpcChannelTest, ServerWorkerPoolRunsHandlersConcurrently) {
   for (std::uint32_t i = 0; i < 8; ++i) {
     EXPECT_EQ(futures[i].get(), i);
   }
-  EXPECT_GE(h.max_handler_concurrency(), 2u);
-  EXPECT_LE(h.max_handler_concurrency(), 4u);
+  // Eight calls were in flight at once, yet they ran in arrival order.
+  EXPECT_EQ(h.max_handler_concurrency(), 1u);
 }
 
 TEST(AsyncRpcChannelTest, BatchedPipelineMatchesExpectedResults) {
   ChannelHarness h(
-      rpc::ServeOptions{.workers = 2, .max_in_flight = 64},
+      rpc::ServeOptions{.workers = 2},
       ClientOptions{.max_outstanding = 64,
                      .batch = CallBatcher::Options{.enabled = true,
                                                    .max_calls = 8,
@@ -272,7 +365,7 @@ TEST(AsyncRpcChannelTest, BatchedPipelineMatchesExpectedResults) {
 }
 
 TEST(AsyncRpcChannelTest, CallLevelErrorsSurfaceThroughFutures) {
-  ChannelHarness h(rpc::ServeOptions{.workers = 2, .max_in_flight = 8},
+  ChannelHarness h(rpc::ServeOptions{.workers = 2},
                    ClientOptions{.max_outstanding = 8});
   auto fut = h.channel().call_async<std::uint32_t>(999);  // unknown proc
   h.channel().flush();
@@ -372,20 +465,21 @@ TEST(AsyncRpcChannelTest, OversizedReplyFailsUndecodedViaBoundsTable) {
 }
 
 TEST(AsyncRpcChannelTest, DrainIsIdleSafe) {
-  ChannelHarness h(rpc::ServeOptions{.workers = 1, .max_in_flight = 4},
+  ChannelHarness h(rpc::ServeOptions{.workers = 1},
                    ClientOptions{.max_outstanding = 4});
   h.channel().drain();
   EXPECT_EQ(h.channel().outstanding(), 0u);
 }
 
-/// End-to-end: the pipelined CUDA client against a pipelined Cricket server.
+/// End-to-end: the pipelined CUDA client against a Cricket server with
+/// pipelined intake.
 class AsyncCricketTest : public ::testing::Test {
  protected:
   void SetUp() override {
     node_ = cuda::GpuNode::make_a100();
     workloads::register_sample_kernels(node_->registry());
     core::ServerOptions server_options;
-    server_options.serve.workers = 2;  // clamped to 1 by CricketServer
+    server_options.serve.workers = 2;  // pipelined intake
     server_ = std::make_unique<core::CricketServer>(*node_, server_options);
     environment_ = env::with_pipelining(
         env::make_environment(env::EnvKind::kNativeRust), 32, true);

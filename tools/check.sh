@@ -59,6 +59,10 @@
 #                    virtual-time pin matched (SKIP when the process may use
 #                    fewer than two CPUs or can not set SCHED_BATCH, which
 #                    the benchmark's CPU placement needs)
+#  20. rpcflow-gate  bench_rpcflow (2000 calls, depth 32) from the plain
+#                    build: the pipelined client must reach >= 4x the
+#                    serial client's virtual-time call rate on at least one
+#                    environment (the bench's own exit code)
 #
 # Stages whose toolchain is unavailable (no clang, no clang-tidy) report
 # SKIP and do not fail the gate. The first FAIL stops the run; a summary
@@ -422,6 +426,19 @@ except OSError as e:
     else
       run_stage perfbench-smoke python3 perfbench/test_run.py
     fi
+  fi
+fi
+
+# ---------------------------------------------------------- 20: rpcflow-gate
+# The pipelining claim, through the pipelined client and the serve loop's
+# pipelined intake: bench_rpcflow exits non-zero unless pipelining reaches
+# >= 4x the serial call rate somewhere.
+if should_continue; then
+  if [[ ! -x build/bench/bench_rpcflow ]]; then
+    record rpcflow-gate "SKIP (build/bench/bench_rpcflow missing — run plain stage first)"
+  else
+    run_stage rpcflow-gate build/bench/bench_rpcflow --calls=2000 --depth=32 \
+      --json=build/bench_rpcflow.json
   fi
 fi
 

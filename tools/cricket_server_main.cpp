@@ -13,11 +13,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "cricket/server.hpp"
 #include "cudart/local_api.hpp"
+#include "rpc/server.hpp"
 #include "rpc/transport.hpp"
 #include "workloads/kernels.hpp"
 
@@ -59,18 +60,17 @@ int main(int argc, char** argv) {
               options.checkpoint_dir.c_str());
   std::fflush(stdout);
 
-  std::vector<std::thread> sessions;
+  rpc::ConnectionThreads sessions;
   int served = 0;
   for (;;) {
     auto conn = listener.accept();
     if (!conn) break;
-    sessions.push_back(
-        server.serve_async(std::unique_ptr<rpc::Transport>(conn.release())));
+    sessions.spawn([&server, c = std::shared_ptr<rpc::Transport>(
+                                 std::move(conn))] { server.serve(*c); });
     ++served;
     if (max_sessions > 0 && served >= max_sessions) break;
   }
-  for (auto& s : sessions)
-    if (s.joinable()) s.join();
+  sessions.join_all();
   std::printf("cricket_server: served %llu sessions, %llu RPCs\n",
               static_cast<unsigned long long>(server.stats().sessions.load()),
               static_cast<unsigned long long>(server.stats().rpcs.load()));

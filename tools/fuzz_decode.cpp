@@ -56,6 +56,7 @@
 #include <cstring>
 #include <exception>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -179,15 +180,18 @@ class SpanTransport final : public cricket::rpc::Transport {
 
   void send(std::span<const std::uint8_t>) override {}
   std::size_t recv(std::span<std::uint8_t> out) override {
+    ++recvs_;
     const std::size_t n = std::min(out.size(), data_.size());
     if (n > 0) std::memcpy(out.data(), data_.data(), n);
     data_ = data_.subspan(n);
     return n;
   }
   void shutdown() override {}
+  [[nodiscard]] std::size_t recvs() const noexcept { return recvs_; }
 
  private:
   std::span<const std::uint8_t> data_;
+  std::size_t recvs_ = 0;
 };
 
 // ----------------------------- seed corpus ------------------------------
@@ -742,25 +746,28 @@ void consume(const cricket::rpc::ServiceRegistry& registry,
     dec.expect_exhausted();
   });
   // Record-marking layer: replay the buffer as an inbound byte stream and
-  // reassemble records to EOF through both reader implementations. The
-  // small explicit cap keeps mutated length fields from turning into large
-  // throwaway allocations each iteration; rejection of a hostile length
-  // against the DEFAULT cap is pinned deterministically in main().
-  expect_clean_stream([&] {
-    SpanTransport t(buf);
-    RecordReader reader(t, /*max_record=*/std::size_t{1} << 16);
-    std::vector<std::uint8_t> record;
-    while (reader.read_record(record)) {
-    }
-  });
-  expect_clean_stream([&] {
-    SpanTransport t(buf);
-    BufferedRecordReader reader(t, /*chunk=*/64,
-                                /*max_record=*/std::size_t{1} << 16);
-    std::vector<std::uint8_t> record;
-    while (reader.read_record(record)) {
-    }
-  });
+  // reassemble records to EOF with exact reads and with read-ahead, asking
+  // has_record() — which walks the buffered, untrusted fragment lengths —
+  // between reads, as the pipelined serve loop does. The small explicit cap
+  // keeps mutated length fields from turning into large throwaway
+  // allocations each iteration; rejection of a hostile length against the
+  // DEFAULT cap is pinned deterministically in main().
+  for (const std::size_t read_ahead : {std::size_t{0}, std::size_t{64}}) {
+    expect_clean_stream([&] {
+      SpanTransport t(buf);
+      RecordReader reader(t, /*max_record=*/std::size_t{1} << 16, read_ahead);
+      std::vector<std::uint8_t> record;
+      for (;;) {
+        // A whole buffered record must come back without another recv.
+        const bool whole = reader.has_record();
+        const std::size_t recvs = t.recvs();
+        const bool got = reader.read_record(record);
+        if (whole && (read_ahead == 0 || !got || t.recvs() != recvs))
+          throw std::logic_error("has_record() claimed a record it lacked");
+        if (!got) break;
+      }
+    });
+  }
 
   expect_clean([&] {
     OpaqueAuth auth;
