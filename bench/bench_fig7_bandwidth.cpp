@@ -9,6 +9,7 @@
 // far less — the ablation reproduced by --ablate (on by default).
 //
 // Flags: --dir=h2d|d2h|both   --mib=N (default 512)   --runs=N (default 2)
+// Exits 1 when any row's bytes did not round-trip (printed UNVERIFIED).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -84,6 +85,7 @@ int main(int argc, char** argv) {
 
   std::vector<env::Environment> environments = env::all_environments();
   environments.push_back(vm_without_tx_offloads());
+  bool all_verified = true;
 
   if (dir == "d2h" || dir == "both") {
     std::vector<Row> rows;
@@ -93,6 +95,7 @@ int main(int argc, char** argv) {
       row.mib_per_s =
           run_direction(rig, workloads::CopyDirection::kDeviceToHost, bytes,
                         runs, &row.verified);
+      all_verified = all_verified && row.verified;
       rows.push_back(row);
     }
     print_rows("(a) memory transfer from device to host",
@@ -108,6 +111,7 @@ int main(int argc, char** argv) {
       row.mib_per_s =
           run_direction(rig, workloads::CopyDirection::kHostToDevice, bytes,
                         runs, &row.verified);
+      all_verified = all_verified && row.verified;
       rows.push_back(row);
     }
     print_rows("(b) memory transfer from host to device",
@@ -115,5 +119,6 @@ int main(int argc, char** argv) {
                "to ~923.9 MiB/s",
                rows);
   }
-  return 0;
+  // A row whose bytes did not round-trip measured a broken transfer.
+  return all_verified ? 0 : 1;
 }

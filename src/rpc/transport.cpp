@@ -25,30 +25,60 @@ void Transport::recv_exact(std::span<std::uint8_t> out) {
 
 // -------------------------------- ByteQueue --------------------------------
 
+ByteQueue::ByteQueue(std::size_t capacity)
+    : capacity_(capacity),
+      ring_(std::make_unique_for_overwrite<std::uint8_t[]>(capacity)) {
+  if (capacity == 0) throw std::invalid_argument("ByteQueue capacity is 0");
+}
+
 void ByteQueue::push(std::span<const std::uint8_t> data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
+  push(std::span(&data, 1));
+}
+
+void ByteQueue::push(std::span<const std::span<const std::uint8_t>> pieces) {
+  std::size_t piece = 0;
+  std::size_t off = 0;  // into pieces[piece]
+  const auto skip_done = [&] {
+    while (piece < pieces.size() && off == pieces[piece].size()) {
+      ++piece;
+      off = 0;
+    }
+  };
+  skip_done();
+  while (piece < pieces.size()) {
     sim::MutexLock lock(mu_);
-    while (!closed_ && fifo_.size() >= capacity_) cv_.wait(mu_);
+    while (!closed_ && size_ == capacity_) not_full_.wait(mu_);
     if (closed_) throw TransportError("pipe closed");
-    const std::size_t room = capacity_ - fifo_.size();
-    const std::size_t n = std::min(room, data.size() - off);
-    fifo_.insert(fifo_.end(), data.begin() + static_cast<std::ptrdiff_t>(off),
-                 data.begin() + static_cast<std::ptrdiff_t>(off + n));
-    off += n;
-    cv_.notify_all();
+    if (size_ == 0) not_empty_.notify_all();
+    for (; piece < pieces.size() && size_ < capacity_; skip_done()) {
+      const auto data = pieces[piece].subspan(off);
+      const std::size_t n = std::min(capacity_ - size_, data.size());
+      const std::size_t tail = (head_ + size_) % capacity_;
+      const std::size_t first = std::min(n, capacity_ - tail);
+      std::memcpy(ring_.get() + tail, data.data(), first);
+      std::memcpy(ring_.get(), data.data() + first, n - first);
+      size_ += n;
+      off += n;
+    }
   }
+}
+
+std::size_t ByteQueue::take_locked(std::span<std::uint8_t> out) {
+  const std::size_t n = std::min(out.size(), size_);
+  if (n == 0) return 0;
+  const std::size_t first = std::min(n, capacity_ - head_);
+  std::memcpy(out.data(), ring_.get() + head_, first);
+  std::memcpy(out.data() + first, ring_.get(), n - first);
+  if (size_ == capacity_) not_full_.notify_all();
+  head_ = (head_ + n) % capacity_;
+  size_ -= n;
+  return n;
 }
 
 std::size_t ByteQueue::pop(std::span<std::uint8_t> out) {
   sim::MutexLock lock(mu_);
-  while (!closed_ && fifo_.empty()) cv_.wait(mu_);
-  if (fifo_.empty()) return 0;  // closed and drained
-  const std::size_t n = std::min(out.size(), fifo_.size());
-  std::copy_n(fifo_.begin(), n, out.begin());
-  fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<std::ptrdiff_t>(n));
-  cv_.notify_all();
-  return n;
+  while (!closed_ && size_ == 0) not_empty_.wait(mu_);
+  return take_locked(out);  // 0 once closed and drained
 }
 
 std::size_t ByteQueue::pop_for(std::span<std::uint8_t> out,
@@ -56,24 +86,26 @@ std::size_t ByteQueue::pop_for(std::span<std::uint8_t> out,
   if (timeout <= std::chrono::nanoseconds::zero()) return pop(out);
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   sim::MutexLock lock(mu_);
-  while (!closed_ && fifo_.empty()) {
+  while (!closed_ && size_ == 0) {
     if (std::chrono::steady_clock::now() >= deadline) {
       throw TransportTimeout("pipe recv timed out");
     }
-    cv_.wait_until(mu_, deadline);
+    not_empty_.wait_until(mu_, deadline);
   }
-  if (fifo_.empty()) return 0;  // closed and drained
-  const std::size_t n = std::min(out.size(), fifo_.size());
-  std::copy_n(fifo_.begin(), n, out.begin());
-  fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<std::ptrdiff_t>(n));
-  cv_.notify_all();
-  return n;
+  return take_locked(out);  // 0 once closed and drained
+}
+
+std::optional<std::size_t> ByteQueue::try_pop(std::span<std::uint8_t> out) {
+  sim::MutexLock lock(mu_);
+  if (size_ == 0 && !closed_) return std::nullopt;
+  return take_locked(out);
 }
 
 void ByteQueue::close() {
   sim::MutexLock lock(mu_);
   closed_ = true;
-  cv_.notify_all();
+  not_empty_.notify_all();
+  not_full_.notify_all();
 }
 
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>

@@ -13,8 +13,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -60,9 +60,8 @@ class Transport {
   /// Bounds how long any single recv() may block; once the bound elapses
   /// with no data, recv() throws TransportTimeout. Zero clears the bound.
   /// Returns true when the transport honours it; the base implementation
-  /// returns false (recv stays fully blocking) so decorators over transports
-  /// without timed waits — e.g. the virtio data path, whose backend threads
-  /// own the blocking pops — degrade to deadline-between-records only.
+  /// returns false (recv stays fully blocking), so a transport without
+  /// timed waits degrades to deadline-between-records only.
   virtual bool set_recv_timeout(std::chrono::nanoseconds /*timeout*/) {
     return false;
   }
@@ -71,27 +70,42 @@ class Transport {
   virtual void shutdown() = 0;
 };
 
-/// One direction of an in-process pipe: a bounded byte FIFO.
-/// Thread-safe.
+/// One direction of an in-process pipe: a bounded byte FIFO kept in a
+/// fixed-capacity ring (two-part memcpy in and out). Thread-safe.
 class ByteQueue {
  public:
-  explicit ByteQueue(std::size_t capacity) : capacity_(capacity) {}
+  explicit ByteQueue(std::size_t capacity);
 
   /// Blocks while full. Throws TransportError if closed.
   void push(std::span<const std::uint8_t> data) CRICKET_EXCLUDES(mu_);
+  /// push() of the pieces' concatenation: a reader woken by it finds as
+  /// much of the whole as fits, not just the first piece.
+  void push(std::span<const std::span<const std::uint8_t>> pieces)
+      CRICKET_EXCLUDES(mu_);
   /// Blocks while empty and open; returns bytes read (0 = closed and drained).
   std::size_t pop(std::span<std::uint8_t> out) CRICKET_EXCLUDES(mu_);
   /// Like pop() but gives up after `timeout` with no data, throwing
   /// TransportTimeout. timeout <= 0 means wait forever.
   std::size_t pop_for(std::span<std::uint8_t> out,
                       std::chrono::nanoseconds timeout) CRICKET_EXCLUDES(mu_);
+  /// Never blocks: bytes read, 0 once closed and drained, or nullopt while
+  /// empty and still open.
+  std::optional<std::size_t> try_pop(std::span<std::uint8_t> out)
+      CRICKET_EXCLUDES(mu_);
   void close() CRICKET_EXCLUDES(mu_);
 
  private:
+  std::size_t take_locked(std::span<std::uint8_t> out) CRICKET_REQUIRES(mu_);
+
   sim::Mutex mu_;
-  sim::CondVar cv_;
-  std::deque<std::uint8_t> fifo_ CRICKET_GUARDED_BY(mu_);
-  std::size_t capacity_;
+  sim::CondVar not_empty_;
+  sim::CondVar not_full_;
+  const std::size_t capacity_;
+  // Uninitialised on purpose: a zero fill of every wire's ring shows up in
+  // connection setup time, and no byte is read before it is written.
+  const std::unique_ptr<std::uint8_t[]> ring_;
+  std::size_t head_ CRICKET_GUARDED_BY(mu_) = 0;  // oldest queued byte
+  std::size_t size_ CRICKET_GUARDED_BY(mu_) = 0;
   bool closed_ CRICKET_GUARDED_BY(mu_) = false;
 };
 

@@ -30,15 +30,14 @@ std::uint32_t get32(const std::uint8_t* p) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_frame(const EthHeader& eth,
-                                       const Ipv4Header& ip,
-                                       const TcpHeader& tcp,
-                                       std::span<const std::uint8_t> payload,
-                                       bool fill_checksums) {
-  const std::size_t ip_total = kIpv4HeaderLen + kTcpHeaderLen + payload.size();
+void seal_frame(std::span<std::uint8_t> frame, const EthHeader& eth,
+                const Ipv4Header& ip, const TcpHeader& tcp,
+                bool fill_checksums) {
+  if (frame.size() < kFrameHeaderLen)
+    throw PacketError("frame shorter than its headers");
+  const std::size_t ip_total = frame.size() - kEthHeaderLen;
   if (ip_total > 0xFFFF) throw PacketError("IPv4 packet too large");
 
-  std::vector<std::uint8_t> frame(kEthHeaderLen + ip_total);
   std::uint8_t* e = frame.data();
   std::memcpy(e, eth.dst.data(), 6);
   std::memcpy(e + 6, eth.src.data(), 6);
@@ -67,23 +66,32 @@ std::vector<std::uint8_t> encode_frame(const EthHeader& eth,
   put16(t + 16, 0);  // checksum placeholder
   put16(t + 18, 0);  // urgent pointer
 
-  if (!payload.empty())
-    std::memcpy(t + kTcpHeaderLen, payload.data(), payload.size());
-
   if (fill_checksums) {
     put16(i + 10, internet_checksum({i, kIpv4HeaderLen}));
-    const std::uint16_t tsum = tcp_checksum(
-        ip.src, ip.dst, {t, kTcpHeaderLen + payload.size()});
+    const std::uint16_t tsum =
+        tcp_checksum(ip.src, ip.dst, {t, ip_total - kIpv4HeaderLen});
     put16(t + 16, tsum);
   }
+}
+
+std::vector<std::uint8_t> encode_frame(const EthHeader& eth,
+                                       const Ipv4Header& ip,
+                                       const TcpHeader& tcp,
+                                       std::span<const std::uint8_t> payload,
+                                       bool fill_checksums) {
+  std::vector<std::uint8_t> frame(kFrameHeaderLen + payload.size());
+  if (!payload.empty())
+    std::memcpy(frame.data() + kFrameHeaderLen, payload.data(),
+                payload.size());
+  seal_frame(frame, eth, ip, tcp, fill_checksums);
   return frame;
 }
 
-ParsedFrame parse_frame(std::span<const std::uint8_t> frame,
-                        bool verify_checksums) {
-  if (frame.size() < kEthHeaderLen + kIpv4HeaderLen + kTcpHeaderLen)
+FrameView view_frame(std::span<const std::uint8_t> frame,
+                     bool verify_checksums) {
+  if (frame.size() < kFrameHeaderLen)
     throw PacketError("frame too short");
-  ParsedFrame out;
+  FrameView out;
   const std::uint8_t* e = frame.data();
   std::memcpy(out.eth.dst.data(), e, 6);
   std::memcpy(out.eth.src.data(), e + 6, 6);
@@ -98,6 +106,8 @@ ParsedFrame parse_frame(std::span<const std::uint8_t> frame,
   out.ip.total_len = get16(i + 2);
   if (out.ip.total_len + kEthHeaderLen > frame.size())
     throw PacketError("IPv4 total length beyond frame");
+  if (out.ip.total_len < kIpv4HeaderLen + kTcpHeaderLen)
+    throw PacketError("IPv4 total length shorter than the headers");
   out.ip.ident = get16(i + 4);
   out.ip.ttl = i[8];
   out.ip.protocol = i[9];
@@ -127,8 +137,14 @@ ParsedFrame parse_frame(std::span<const std::uint8_t> frame,
       throw PacketError("bad TCP checksum");
   }
   const std::size_t payload_len = seg_len - kTcpHeaderLen;
-  out.payload.assign(t + kTcpHeaderLen, t + kTcpHeaderLen + payload_len);
+  out.payload = {t + kTcpHeaderLen, payload_len};
   return out;
+}
+
+ParsedFrame parse_frame(std::span<const std::uint8_t> frame,
+                        bool verify_checksums) {
+  const FrameView v = view_frame(frame, verify_checksums);
+  return {v.eth, v.ip, v.tcp, {v.payload.begin(), v.payload.end()}};
 }
 
 }  // namespace cricket::vnet

@@ -23,6 +23,8 @@ using MacAddr = std::array<std::uint8_t, 6>;
 constexpr std::size_t kEthHeaderLen = 14;
 constexpr std::size_t kIpv4HeaderLen = 20;  // no options
 constexpr std::size_t kTcpHeaderLen = 20;   // no options
+constexpr std::size_t kFrameHeaderLen =
+    kEthHeaderLen + kIpv4HeaderLen + kTcpHeaderLen;
 constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;
 
 /// TCP flag bits.
@@ -58,7 +60,15 @@ struct TcpHeader {
   std::uint16_t checksum = 0;
 };
 
-/// A parsed frame (headers + payload view copied out).
+/// A parsed frame whose payload still points into the frame's buffer.
+struct FrameView {
+  EthHeader eth;
+  Ipv4Header ip;
+  TcpHeader tcp;
+  std::span<const std::uint8_t> payload;
+};
+
+/// A parsed frame with the payload copied out.
 struct ParsedFrame {
   EthHeader eth;
   Ipv4Header ip;
@@ -74,9 +84,21 @@ struct ParsedFrame {
     const EthHeader& eth, const Ipv4Header& ip, const TcpHeader& tcp,
     std::span<const std::uint8_t> payload, bool fill_checksums);
 
+/// encode_frame() in place: writes the headers (and checksums) of a frame
+/// whose payload already sits at frame[kFrameHeaderLen..]; `frame` spans
+/// headers and payload exactly.
+void seal_frame(std::span<std::uint8_t> frame, const EthHeader& eth,
+                const Ipv4Header& ip, const TcpHeader& tcp,
+                bool fill_checksums);
+
 /// Parses and structurally validates a frame. If `verify_checksums` is true,
 /// bad IP/TCP checksums throw PacketError (the software receive path); when
-/// offloaded, validation is skipped (the "NIC" already did it).
+/// offloaded, validation is skipped (the "NIC" already did it). The view's
+/// payload is valid as long as `frame` is.
+[[nodiscard]] FrameView view_frame(std::span<const std::uint8_t> frame,
+                                   bool verify_checksums);
+
+/// view_frame() with the payload copied out of `frame`.
 [[nodiscard]] ParsedFrame parse_frame(std::span<const std::uint8_t> frame,
                                       bool verify_checksums);
 

@@ -1,6 +1,9 @@
 #include "vnet/virtio_net.hpp"
 
 #include <algorithm>
+#include <cstring>
+
+#include "vnet/packet.hpp"
 
 namespace cricket::vnet {
 namespace {
@@ -55,20 +58,13 @@ VirtioNetTransport::VirtioNetTransport(NetworkProfile profile,
       rx_memory_(static_cast<std::size_t>(kQueueSize) * (65536 + kHeaderRoom)),
       tx_(tx_memory_, kQueueSize),
       rx_(rx_memory_, kQueueSize),
+      rx_chunk_(profile_.rx_buffer_size()),
       stats_(obs::Registry::global().unique_label("vnet")) {
   // Pre-post receive buffers, as a real driver does at device bring-up.
   for (int i = 0; i < 64; ++i) post_rx_buffer();
-  tx_thread_ = std::thread([this] { tx_backend(); });
-  rx_thread_ = std::thread([this] { rx_backend(); });
 }
 
-VirtioNetTransport::~VirtioNetTransport() {
-  shutdown();
-  tx_.shutdown();
-  rx_.shutdown();
-  if (tx_thread_.joinable()) tx_thread_.join();
-  if (rx_thread_.joinable()) rx_thread_.join();
-}
+VirtioNetTransport::~VirtioNetTransport() { shutdown(); }
 
 void VirtioNetTransport::post_rx_buffer() {
   const std::uint32_t len = static_cast<std::uint32_t>(
@@ -78,11 +74,8 @@ void VirtioNetTransport::post_rx_buffer() {
   if (head) rx_.kick(*head);
 }
 
-void VirtioNetTransport::reclaim_tx_descriptors(bool wait) {
-  while (auto used = tx_.take_used(wait)) {
-    tx_.recycle(used->first);
-    wait = false;  // only block for the first one
-  }
+void VirtioNetTransport::reclaim_tx_descriptors() {
+  while (auto used = tx_.take_used(/*wait=*/false)) tx_.recycle(used->first);
 }
 
 void VirtioNetTransport::send(std::span<const std::uint8_t> data) {
@@ -106,116 +99,128 @@ void VirtioNetTransport::send(std::span<const std::uint8_t> data) {
     tcp.dst_port = kCricketPort;
     tcp.seq = tx_seq_;
     tcp.flags = static_cast<std::uint8_t>(kTcpAck | kTcpPsh);
-    // Software checksum (real computation) unless offloaded to the host.
+    // The driver builds the frame in place in its TX buffer, with the
+    // software checksum (real computation) unless offloaded to the host.
+    const auto len = static_cast<std::uint32_t>(kFrameHeaderLen + n);
+    auto buffer = tx_.add_buffer(len);
+    if (!buffer) {
+      // Ring full: the device takes every kicked frame, and reclaiming
+      // then frees the whole table.
+      run_tx_device();
+      reclaim_tx_descriptors();
+      buffer = tx_.add_buffer(len);
+    }
+    const auto [head, frame] = buffer.value();
+    if (n > 0) std::memcpy(frame.data() + kFrameHeaderLen, data.data() + off, n);
     const bool sw_csum = !profile_.offloads.tx_checksum;
-    const auto frame = encode_frame(eth, ip, tcp, data.subspan(off, n),
-                                    /*fill_checksums=*/sw_csum);
+    seal_frame(frame, eth, ip, tcp, /*fill_checksums=*/sw_csum);
     if (sw_csum) stats_.checksums_tx.inc();
     tx_seq_ += static_cast<std::uint32_t>(n);
-
-    const std::span<const std::uint8_t> bufs[1] = {frame};
-    std::optional<std::uint16_t> head;
-    while (!(head = tx_.add_chain(bufs, {}))) {
-      reclaim_tx_descriptors(/*wait=*/true);  // ring full: wait for backend
-      if (stopping_.load()) throw rpc::TransportError("transport shut down");
-    }
-    tx_.kick(*head);
+    tx_.kick(head);
     stats_.frames_tx.inc();
     stats_.bytes_tx.inc(n);
     off += n;
   } while (off < data.size());
-  reclaim_tx_descriptors(/*wait=*/false);
+  run_tx_device();
+  reclaim_tx_descriptors();
 }
 
-void VirtioNetTransport::tx_backend() {
-  for (;;) {
-    auto chain = tx_.pop_avail(/*wait=*/true);
-    if (!chain) return;  // shutdown
-    const auto frame = tx_.gather(*chain);
-    tx_.push_used(chain->head, 0);
-    // Host TAP side: unwrap the frame; checksums are trusted (the host
-    // verifies or fills them at line rate in hardware).
+void VirtioNetTransport::run_tx_device() {
+  // Host TAP side: unwrap every kicked frame where it lies in guest memory
+  // (checksums are trusted: the host verifies or fills them at line rate in
+  // hardware), put the payloads on the wire in one push, then complete the
+  // chains. One push per burst lets the peer read the burst in one go.
+  tx_heads_.clear();
+  tx_payloads_.clear();
+  while (auto chain = tx_.pop_avail(/*wait=*/false)) {
     try {
-      const ParsedFrame parsed = parse_frame(frame, /*verify=*/false);
-      if (!parsed.payload.empty()) wire_tx_->push(parsed.payload);
+      tx_payloads_.push_back(
+          view_frame(tx_.view_readable(*chain), /*verify=*/false).payload);
     } catch (const PacketError&) {
       // Malformed frame: a real TAP would drop it silently.
-    } catch (const rpc::TransportError&) {
-      return;  // wire closed
     }
+    tx_heads_.push_back(chain->head);
   }
+  wire_tx_->push(tx_payloads_);
+  for (const auto head : tx_heads_) tx_.push_used(head, 0);
 }
 
-void VirtioNetTransport::rx_backend() {
-  std::uint32_t host_seq = 1;
-  std::vector<std::uint8_t> buf(profile_.rx_buffer_size());
-  for (;;) {
-    std::size_t n = 0;
-    try {
-      n = wire_rx_->pop(buf);
-    } catch (const rpc::TransportError&) {
-      n = 0;
-    }
-    if (n == 0) {
-      rx_.shutdown();  // wakes a blocked recv(), which then returns EOF
-      return;
-    }
-    // The host NIC always delivers frames with valid checksums filled.
-    EthHeader eth{.dst = kGuestMac, .src = kHostMac};
-    Ipv4Header ip;
-    ip.src = kHostIp;
-    ip.dst = kGuestIp;
-    TcpHeader tcp;
-    tcp.src_port = kCricketPort;
-    tcp.dst_port = kGuestPort;
-    tcp.seq = host_seq;
-    tcp.flags = static_cast<std::uint8_t>(kTcpAck | kTcpPsh);
-    const auto frame = encode_frame(eth, ip, tcp,
-                                    std::span(buf.data(), n),
-                                    /*fill_checksums=*/true);
-    host_seq += static_cast<std::uint32_t>(n);
+void VirtioNetTransport::receive_chunk(std::size_t n) {
+  // Host side: the host NIC always delivers frames with valid checksums
+  // filled, built in the next posted buffer. recv() re-posts every buffer
+  // it takes, so one is always there, with room for the headers.
+  static_assert(kHeaderRoom >= kFrameHeaderLen);
+  EthHeader eth{.dst = kGuestMac, .src = kHostMac};
+  Ipv4Header ip;
+  ip.src = kHostIp;
+  ip.dst = kGuestIp;
+  TcpHeader tcp;
+  tcp.src_port = kCricketPort;
+  tcp.dst_port = kGuestPort;
+  tcp.seq = rx_seq_;
+  tcp.flags = static_cast<std::uint8_t>(kTcpAck | kTcpPsh);
+  const auto chain = rx_.pop_avail(/*wait=*/false).value();
+  const auto frame = rx_.view_writable(chain).first(kFrameHeaderLen + n);
+  std::memcpy(frame.data() + kFrameHeaderLen, rx_chunk_.data(), n);
+  seal_frame(frame, eth, ip, tcp, /*fill_checksums=*/true);
+  rx_seq_ += static_cast<std::uint32_t>(n);
+  rx_.push_used(chain.head, static_cast<std::uint32_t>(frame.size()));
 
-    auto chain = rx_.pop_avail(/*wait=*/true);
-    if (!chain) return;  // shutdown
-    const std::uint32_t written =
-        rx_.scatter(*chain, frame);
-    rx_.push_used(chain->head, written);
+  // Guest side: take the completion and unwrap it in guest memory.
+  const auto [head, written] = rx_.take_used(/*wait=*/false).value();
+  try {
+    // Software checksum verification (real computation) unless the
+    // GUEST_CSUM offload lets the guest trust the host.
+    const bool sw_csum = !profile_.offloads.rx_checksum;
+    const FrameView parsed =
+        view_frame(rx_.view_in_buffer(head, written), /*verify=*/sw_csum);
+    if (sw_csum) stats_.checksums_rx.inc();
+    rx_pending_.insert(rx_pending_.end(), parsed.payload.begin(),
+                       parsed.payload.end());
+    stats_.frames_rx.inc();
+    stats_.bytes_rx.inc(parsed.payload.size());
+  } catch (const PacketError&) {
+    // Corrupt frame dropped; reliable wire makes this benign.
   }
+  rx_.recycle(head);
+  post_rx_buffer();  // replenish the ring
 }
 
 std::size_t VirtioNetTransport::recv(std::span<std::uint8_t> out) {
   obs::Span span(obs::Layer::kVnetRx);
-  // Drain the used ring in one go: block for the first frame if nothing is
-  // pending, then opportunistically take every already-completed frame. One
-  // recv() spans many frames, as one socket read does on a real guest —
-  // per-frame stack costs are still charged per frame by rx_cpu_cost.
-  while (rx_pending_.size() < out.size()) {
-    const bool wait = rx_pending_.empty();
-    auto used = rx_.take_used(wait);
-    if (!used) {
-      if (rx_pending_.empty()) return 0;  // shutdown: clean EOF
-      break;                              // no more completions right now
-    }
-    const auto frame = rx_.read_in_buffers(used->first, used->second);
-    post_rx_buffer();  // replenish the ring
-    try {
-      // Software checksum verification (real computation) unless the
-      // GUEST_CSUM offload lets the guest trust the host.
-      const bool sw_csum = !profile_.offloads.rx_checksum;
-      const ParsedFrame parsed = parse_frame(frame, /*verify=*/sw_csum);
-      if (sw_csum) stats_.checksums_rx.inc();
-      rx_pending_.insert(rx_pending_.end(), parsed.payload.begin(),
-                         parsed.payload.end());
-      stats_.frames_rx.inc();
-      stats_.bytes_rx.inc(parsed.payload.size());
-    } catch (const PacketError&) {
-      // Corrupt frame dropped; reliable wire makes this benign.
+  // Pull the wire on this thread: block for the first chunk if nothing is
+  // pending, then take only what is already queued. One recv() spans many
+  // frames, as one socket read does on a real guest — per-frame stack costs
+  // are still charged per frame by rx_cpu_cost.
+  if (rx_pending_.size() - rx_read_ < out.size()) {
+    // About to append: drop the consumed prefix first. What stays is less
+    // than `out`, so the move costs less than the copy out below.
+    rx_pending_.erase(rx_pending_.begin(),
+                      rx_pending_.begin() +
+                          static_cast<std::ptrdiff_t>(rx_read_));
+    rx_read_ = 0;
+    while (rx_pending_.size() < out.size()) {
+      std::size_t n = 0;
+      if (rx_pending_.empty()) {
+        // A TransportTimeout leaves from here: the caller retries, not EOF.
+        n = wire_rx_->pop_for(
+            rx_chunk_, std::chrono::nanoseconds(recv_timeout_ns_.load(
+                           std::memory_order_relaxed)));
+      } else if (const auto queued = wire_rx_->try_pop(rx_chunk_)) {
+        n = *queued;
+      } else {
+        break;  // nothing more queued right now
+      }
+      if (n == 0) {
+        rx_.shutdown();  // wire closed and drained: EOF once pending runs out
+        break;
+      }
+      receive_chunk(n);
     }
   }
-  const std::size_t n = std::min(out.size(), rx_pending_.size());
-  std::copy_n(rx_pending_.begin(), n, out.begin());
-  rx_pending_.erase(rx_pending_.begin(),
-                    rx_pending_.begin() + static_cast<std::ptrdiff_t>(n));
+  const std::size_t n = std::min(out.size(), rx_pending_.size() - rx_read_);
+  if (n > 0) std::memcpy(out.data(), rx_pending_.data() + rx_read_, n);
+  rx_read_ += n;
   clock_->advance(rx_cpu_cost(profile_, n));
   if (n > 0) {
     span.set_arg(n);

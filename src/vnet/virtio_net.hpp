@@ -3,10 +3,13 @@
 // VirtioNetTransport is the data path of a unikernel / Linux-VM guest
 // (paper Fig. 4): application bytes are segmented into real
 // Ethernet/IPv4/TCP frames (checksummed in software unless the virtio
-// checksum offloads are negotiated), pushed through a real split virtqueue
-// to a host backend thread, which unwraps them onto the "wire" (a byte
-// queue toward the Cricket server). Receive is the mirror image, with
-// MRG_RXBUF governing how many bytes arrive per posted buffer. All guest
+// checksum offloads are negotiated) and pushed through a real split
+// virtqueue; the host side of the queue unwraps them onto the "wire" (a
+// byte queue toward the Cricket server). Receive is the mirror image, with
+// MRG_RXBUF governing how many bytes arrive per posted buffer. The device
+// side runs to completion on the guest's own thread: send() kicks each frame
+// and then drains the TX ring itself, handing the burst to the wire in one
+// push, and recv() pulls the wire and fills the RX ring itself. All guest
 // CPU mechanisms additionally charge virtual time via the NetworkProfile.
 //
 // ShapedTransport is the light-weight variant for native (non-virtualized)
@@ -14,10 +17,10 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
+#include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -108,8 +111,8 @@ class ShapedTransport final : public rpc::Transport {
 };
 
 /// Guest-side virtio-net transport. One instance per guest connection; owns
-/// the guest memory arena, the TX/RX virtqueues, and two host backend
-/// threads bridging the queues to the wire byte-queues.
+/// the guest memory arena and the TX/RX virtqueues, and plays both their
+/// driver and device sides on the calling thread (no backend threads).
 class VirtioNetTransport final : public rpc::Transport {
  public:
   VirtioNetTransport(NetworkProfile profile, sim::SimClock& clock,
@@ -123,6 +126,11 @@ class VirtioNetTransport final : public rpc::Transport {
   void send(std::span<const std::uint8_t> data) override;
   std::size_t recv(std::span<std::uint8_t> out) override;
   void shutdown() override;
+  /// recv() owns the blocking wire pop, so it bounds it directly.
+  bool set_recv_timeout(std::chrono::nanoseconds timeout) override {
+    recv_timeout_ns_.store(timeout.count(), std::memory_order_relaxed);
+    return true;
+  }
 
   /// Returns a snapshot copy (counters advance concurrently on the sender
   /// and receiver threads).
@@ -143,9 +151,9 @@ class VirtioNetTransport final : public rpc::Transport {
   }
 
  private:
-  void tx_backend();
-  void rx_backend();
-  void reclaim_tx_descriptors(bool wait);
+  void run_tx_device();
+  void receive_chunk(std::size_t n);
+  void reclaim_tx_descriptors();
   void post_rx_buffer();
 
   NetworkProfile profile_;
@@ -162,12 +170,20 @@ class VirtioNetTransport final : public rpc::Transport {
   Virtqueue tx_;
   Virtqueue rx_;
 
-  std::uint32_t tx_seq_ = 1;            // sender thread only
-  std::deque<std::uint8_t> rx_pending_;  // receiver thread only
+  // Sender thread only: the guest's TCP sequence, and the device's batch
+  // of kicked chains with their payloads (kept to reuse the storage).
+  std::uint32_t tx_seq_ = 1;
+  std::vector<std::uint16_t> tx_heads_;
+  std::vector<std::span<const std::uint8_t>> tx_payloads_;
+  // Receiver thread only: the host's TCP sequence, one wire pop, and the
+  // unwrapped payload not yet returned (consumed up to rx_read_).
+  std::uint32_t rx_seq_ = 1;
+  std::vector<std::uint8_t> rx_chunk_;
+  std::vector<std::uint8_t> rx_pending_;
+  std::size_t rx_read_ = 0;
   detail::TransportCounters stats_;
 
-  std::thread tx_thread_;
-  std::thread rx_thread_;
+  std::atomic<std::int64_t> recv_timeout_ns_{0};
   std::atomic<bool> stopping_{false};
 
   static constexpr std::uint16_t kQueueSize = 256;

@@ -101,6 +101,21 @@ std::optional<std::uint16_t> Virtqueue::add_chain(
   return ids.front();
 }
 
+std::optional<std::pair<std::uint16_t, std::span<std::uint8_t>>>
+Virtqueue::add_buffer(std::uint32_t len) {
+  const std::uint64_t slot = memory_->size() / queue_size_;
+  if (len > slot) throw VirtqError("buffer exceeds descriptor slot");
+  sim::MutexLock lock(mu_);
+  if (free_list_.empty()) return std::nullopt;
+  const std::uint16_t id = alloc_desc_locked();
+  VirtqDesc& d = desc_table_[id];
+  d.addr = static_cast<std::uint64_t>(id) * slot;
+  d.len = len;
+  d.flags = 0;
+  d.next = 0;
+  return std::pair{id, memory_->at(d.addr, d.len)};
+}
+
 void Virtqueue::kick(std::uint16_t head) {
   {
     sim::MutexLock lock(mu_);
@@ -130,6 +145,24 @@ std::vector<std::uint8_t> Virtqueue::gather(const VirtqChain& chain) {
     out.insert(out.end(), src.begin(), src.end());
   }
   return out;
+}
+
+std::span<const std::uint8_t> Virtqueue::view_readable(
+    const VirtqChain& chain) {
+  const VirtqDesc* readable = nullptr;
+  for (const auto& d : chain.descs) {
+    if (d.flags & kDescWrite) continue;
+    if (readable) throw VirtqError("readable part spans descriptors");
+    readable = &d;
+  }
+  if (!readable) return {};
+  return memory_->at(readable->addr, readable->len);
+}
+
+std::span<std::uint8_t> Virtqueue::view_writable(const VirtqChain& chain) {
+  for (const auto& d : chain.descs)
+    if (d.flags & kDescWrite) return memory_->at(d.addr, d.len);
+  return {};
 }
 
 std::uint32_t Virtqueue::scatter(const VirtqChain& chain,
@@ -183,6 +216,22 @@ std::vector<std::uint8_t> Virtqueue::read_in_buffers(std::uint16_t head,
   }
   free_chain_locked(head);
   return out;
+}
+
+std::span<const std::uint8_t> Virtqueue::view_in_buffer(
+    std::uint16_t head, std::uint32_t written) {
+  sim::MutexLock lock(mu_);
+  std::uint16_t cur = head;
+  for (std::size_t guard = 0; guard <= queue_size_; ++guard) {
+    const VirtqDesc& d = desc_table_[cur];
+    if (d.flags & kDescWrite) {
+      if (written > d.len) throw VirtqError("written part spans descriptors");
+      return memory_->at(d.addr, written);
+    }
+    if (!(d.flags & kDescNext)) throw VirtqError("no device-writable buffer");
+    cur = d.next;
+  }
+  throw VirtqError("descriptor chain loop");
 }
 
 void Virtqueue::recycle(std::uint16_t head) {

@@ -5,8 +5,11 @@
 // This is a faithful split-ring model: a descriptor table whose entries
 // address a guest memory arena, an available ring the driver fills, and a
 // used ring the device fills. Notifications ("kicks" guest→device and
-// "interrupts" device→guest) are condition variables; the cost model charges
-// VM-exit time per kick at a higher layer.
+// "interrupts" device→guest) are counted, and wake condition-variable
+// waiters on the blocking pop_avail/take_used. VirtioNetTransport never
+// blocks on them: it runs both sides of each ring on the guest's calling
+// thread and polls. The cost model charges VM-exit time per kick at a
+// higher layer.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +80,12 @@ class Virtqueue {
       std::span<const std::span<const std::uint8_t>> out,
       std::span<const std::uint32_t> in_lens) CRICKET_EXCLUDES(mu_);
 
+  /// add_chain() of one device-readable buffer of `len` bytes that the
+  /// driver fills in place, before kick(): returns its head and its guest
+  /// memory, or nullopt if the table is full.
+  std::optional<std::pair<std::uint16_t, std::span<std::uint8_t>>>
+  add_buffer(std::uint32_t len) CRICKET_EXCLUDES(mu_);
+
   /// Exposes the chain on the available ring and notifies the device.
   void kick(std::uint16_t head) CRICKET_EXCLUDES(mu_);
 
@@ -89,6 +98,12 @@ class Virtqueue {
   /// frees the chain's descriptors.
   [[nodiscard]] std::vector<std::uint8_t> read_in_buffers(
       std::uint16_t head, std::uint32_t written) CRICKET_EXCLUDES(mu_);
+  /// A completed chain's device-written bytes in place, where
+  /// read_in_buffers() copies them out. The device must have written them
+  /// into the chain's first device-writable descriptor. The view stays
+  /// valid until recycle(head).
+  [[nodiscard]] std::span<const std::uint8_t> view_in_buffer(
+      std::uint16_t head, std::uint32_t written) CRICKET_EXCLUDES(mu_);
   /// Frees a chain's descriptors without reading (TX completion).
   void recycle(std::uint16_t head) CRICKET_EXCLUDES(mu_);
 
@@ -100,6 +115,14 @@ class Virtqueue {
   /// Copies device-readable chain content out of guest memory.
   [[nodiscard]] std::vector<std::uint8_t> gather(const VirtqChain& chain)
       CRICKET_EXCLUDES(mu_);
+  /// The device-readable content in place, where gather() copies it. The
+  /// chain must hold it in one descriptor; the view stays valid until the
+  /// driver recycles the chain.
+  [[nodiscard]] std::span<const std::uint8_t> view_readable(
+      const VirtqChain& chain);
+  /// The chain's first device-writable buffer in place, for the device to
+  /// fill where scatter() copies. Valid until the driver recycles the chain.
+  [[nodiscard]] std::span<std::uint8_t> view_writable(const VirtqChain& chain);
   /// Scatters `data` into the chain's device-writable buffers; returns bytes
   /// written (trailing data is truncated if the chain is too small).
   std::uint32_t scatter(const VirtqChain& chain,

@@ -885,14 +885,14 @@ TEST(MiniTcpRegression, SecondLossStillFastRetransmits) {
 /// The acceptance scenario: full Cricket stack over an env-built connection
 /// with CRICKET_FAULTS-style injection, at-most-once server, retrying
 /// client. Device counters prove zero duplicate kernel launches.
-struct FaultedWorkloads : ::testing::Test {
-  FaultedWorkloads()
+struct FaultedStack {
+  explicit FaultedStack(env::EnvKind kind)
       : node(cuda::GpuNode::make_a100()),
         server(*node, core::ServerOptions{.at_most_once = true}),
         // Honors an externally supplied CRICKET_FAULTS; defaults to the
         // acceptance spec otherwise.
         environment(env::with_faults(
-            env::make_environment(env::EnvKind::kNativeRust),
+            env::make_environment(kind),
             FaultSpec::from_env_or("drop=0.05,seed=42").to_string())) {
     workloads::register_sample_kernels(node->registry());
     auto conn = env::connect(environment, node->clock());
@@ -907,7 +907,7 @@ struct FaultedWorkloads : ::testing::Test {
     api = std::make_unique<core::RemoteCudaApi>(std::move(conn.guest),
                                                 node->clock(), config);
   }
-  ~FaultedWorkloads() override {
+  ~FaultedStack() {
     api.reset();
     if (server_thread.joinable()) server_thread.join();
   }
@@ -918,6 +918,28 @@ struct FaultedWorkloads : ::testing::Test {
   std::unique_ptr<core::RemoteCudaApi> api;
   std::thread server_thread;
 };
+
+struct FaultedWorkloads : ::testing::Test, FaultedStack {
+  FaultedWorkloads() : FaultedStack(env::EnvKind::kNativeRust) {}
+};
+
+// A virtio guest's recv() owns its blocking wire pop, so the client's
+// per-attempt deadline reaches it: a lost message costs one attempt
+// timeout and a retry. A transport that ignored the deadline left the
+// client blocked on the lost reply for good.
+TEST(FaultedVirtioWorkloads, HermitHistogramRetriesLostMessages) {
+  testutil::within(std::chrono::seconds(30), [] {
+    FaultedStack stack(env::EnvKind::kRustyHermit);
+    workloads::HistogramConfig cfg;
+    cfg.data_bytes = 1 << 16;
+    cfg.iterations = 2;
+    const auto report = workloads::run_histogram(
+        *stack.api, stack.node->clock(), stack.environment.flavor, cfg);
+    EXPECT_TRUE(report.verified);
+    EXPECT_EQ(stack.node->device(0).stats().kernels_launched,
+              report.kernel_launches);
+  });
+}
 
 TEST_F(FaultedWorkloads, MatrixMulCompletesExactlyOnce) {
   workloads::MatrixMulConfig cfg;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -933,6 +935,98 @@ TEST(ByteQueue, PushAfterCloseThrows) {
   q.close();
   const std::uint8_t b[1] = {0};
   EXPECT_THROW(q.push(b), TransportError);
+}
+
+// A producer and a consumer move random-sized pieces through a ring far
+// smaller than the stream, so pushes and pops wrap at every offset.
+class ByteQueueRingProperty : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(ByteQueueRingProperty, StreamSurvivesEveryWrap) {
+  constexpr std::size_t kCapacity = 37;
+  ByteQueue q(kCapacity);
+  sim::Xoshiro256ss rng(GetParam());
+  std::vector<std::uint8_t> data(200'000);
+  rng.fill_bytes(data);
+  std::thread producer([&] {
+    sim::Xoshiro256ss sizes(GetParam() + 1);
+    for (std::size_t off = 0; off < data.size();) {
+      const std::size_t n =
+          std::min<std::size_t>(1 + sizes.next() % 90, data.size() - off);
+      q.push(std::span(data).subspan(off, n));
+      off += n;
+    }
+    q.close();
+  });
+  sim::Xoshiro256ss sizes(GetParam() + 2);
+  std::vector<std::uint8_t> got;
+  std::vector<std::uint8_t> buf(64);
+  for (;;) {
+    const std::size_t want = 1 + sizes.next() % buf.size();
+    const std::size_t n = q.pop(std::span(buf).first(want));
+    if (n == 0) break;
+    ASSERT_LE(n, want);
+    got.insert(got.end(), buf.begin(), buf.begin() + static_cast<long>(n));
+  }
+  producer.join();
+  EXPECT_EQ(got, data);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ByteQueueRingProperty,
+                         ::testing::Values(1, 2, 3, 4));
+
+TEST(ByteQueue, PushBlocksWhileFullAndResumesAfterPop) {
+  ByteQueue q(4);
+  const std::uint8_t first[4] = {1, 2, 3, 4};
+  q.push(first);  // fills the ring
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    const std::uint8_t more[2] = {5, 6};
+    q.push(more);
+    pushed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(pushed.load());
+  std::uint8_t out[6] = {};
+  std::size_t got = q.pop(std::span(out, 1));
+  while (got < 6) got += q.pop(std::span(out + got, 6 - got));
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(std::vector<std::uint8_t>(out, out + 6),
+            (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(ByteQueue, CloseLetsTheReaderDrain) {
+  ByteQueue q(8);
+  const std::uint8_t data[5] = {1, 2, 3, 4, 5};
+  q.push(data);
+  q.close();
+  std::uint8_t out[8] = {};
+  EXPECT_EQ(q.pop(std::span(out, 3)), 3u);
+  EXPECT_EQ(q.pop(out), 2u);
+  EXPECT_EQ(out[1], 5);
+  EXPECT_EQ(q.pop(out), 0u);
+}
+
+TEST(ByteQueue, PopForThrowsTransportTimeout) {
+  ByteQueue q(8);
+  std::uint8_t out[4];
+  EXPECT_THROW((void)q.pop_for(out, std::chrono::milliseconds(10)),
+               TransportTimeout);
+  const std::uint8_t data[2] = {7, 8};
+  q.push(data);
+  EXPECT_EQ(q.pop_for(out, std::chrono::milliseconds(10)), 2u);
+}
+
+TEST(ByteQueue, TryPopTellsEmptyFromClosedAndDrained) {
+  ByteQueue q(8);
+  std::uint8_t out[4];
+  EXPECT_EQ(q.try_pop(out), std::nullopt);  // empty, still open
+  const std::uint8_t data[2] = {1, 2};
+  q.push(data);
+  q.close();
+  EXPECT_EQ(q.try_pop(out), std::optional<std::size_t>(2));
+  EXPECT_EQ(q.try_pop(out), std::optional<std::size_t>(0));  // EOF
 }
 
 }  // namespace

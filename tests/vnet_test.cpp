@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <deque>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
+#include "bounded_wait.hpp"
 #include "sim/rng.hpp"
 #include "sim/sim_clock.hpp"
 #include "vnet/checksum.hpp"
@@ -106,6 +110,33 @@ TEST(Packet, TruncatedFrameRejected) {
   EXPECT_THROW((void)parse_frame(tiny, false), PacketError);
 }
 
+// A total length below the IP + TCP headers used to underflow the payload
+// length and read far past the frame.
+TEST(Packet, TotalLengthShorterThanHeadersRejected) {
+  auto frame = encode_frame(EthHeader{}, Ipv4Header{}, TcpHeader{},
+                            std::vector<std::uint8_t>(16, 0x11), false);
+  frame[kEthHeaderLen + 2] = 0;
+  frame[kEthHeaderLen + 3] = 30;  // 20-byte IP header + 10 of TCP's 20
+  EXPECT_THROW((void)parse_frame(frame, false), PacketError);
+}
+
+TEST(Packet, SealInPlaceMatchesEncode) {
+  EthHeader eth;
+  Ipv4Header ip;
+  ip.src = 3;
+  ip.dst = 4;
+  TcpHeader tcp;
+  tcp.seq = 7;
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
+  std::vector<std::uint8_t> frame(kFrameHeaderLen + payload.size());
+  std::copy(payload.begin(), payload.end(), frame.begin() + kFrameHeaderLen);
+  seal_frame(frame, eth, ip, tcp, true);
+  EXPECT_EQ(frame, encode_frame(eth, ip, tcp, payload, true));
+  const FrameView view = view_frame(frame, true);
+  EXPECT_EQ(view.payload.data(), frame.data() + kFrameHeaderLen);
+  EXPECT_EQ(view.payload.size(), payload.size());
+}
+
 TEST(Packet, OversizePayloadRejected) {
   const std::vector<std::uint8_t> huge(70'000, 0);
   EthHeader eth;
@@ -146,6 +177,47 @@ TEST(Virtqueue, OutChainGatherMatches) {
   vq.push_used(chain->head, 0);
   const auto used = vq.take_used(false);
   ASSERT_TRUE(used.has_value());
+  vq.recycle(used->first);
+}
+
+// The in-place accessors the virtio transport uses see the same guest
+// memory the copying ones do.
+TEST(Virtqueue, InPlaceBuffersShareGuestMemory) {
+  GuestMemory mem(1 << 16);
+  Virtqueue vq(mem, 64);
+  const std::vector<std::uint8_t> msg = {1, 2, 3, 4, 5};
+
+  // Driver fills a device-readable buffer in place; the device views it.
+  const auto tx = vq.add_buffer(static_cast<std::uint32_t>(msg.size()));
+  ASSERT_TRUE(tx.has_value());
+  std::copy(msg.begin(), msg.end(), tx->second.begin());
+  vq.kick(tx->first);
+  auto chain = vq.pop_avail(false);
+  ASSERT_TRUE(chain.has_value());
+  EXPECT_EQ(vq.gather(*chain), msg);
+  const auto seen = vq.view_readable(*chain);
+  EXPECT_EQ(std::vector<std::uint8_t>(seen.begin(), seen.end()), msg);
+  vq.push_used(chain->head, 0);
+  vq.recycle(vq.take_used(false).value().first);
+
+  // Device fills a posted buffer in place; the driver views it.
+  const std::uint32_t lens[2] = {4, 8};
+  const auto head = vq.add_chain({}, lens);
+  ASSERT_TRUE(head.has_value());
+  vq.kick(*head);
+  chain = vq.pop_avail(false);
+  ASSERT_TRUE(chain.has_value());
+  const auto buffer = vq.view_writable(*chain);
+  ASSERT_EQ(buffer.size(), 4u);
+  std::copy_n(msg.begin(), 4, buffer.begin());
+  vq.push_used(chain->head, 4);
+  const auto used = vq.take_used(false);
+  ASSERT_TRUE(used.has_value());
+  const auto back = vq.view_in_buffer(used->first, used->second);
+  EXPECT_EQ(std::vector<std::uint8_t>(back.begin(), back.end()),
+            std::vector<std::uint8_t>(msg.begin(), msg.begin() + 4));
+  // Bytes past the first writable buffer have no single view.
+  EXPECT_THROW((void)vq.view_in_buffer(used->first, 5), VirtqError);
   vq.recycle(used->first);
 }
 
@@ -629,6 +701,78 @@ TEST(VirtioNet, FullDuplexTrafficDoesNotAliasQueueMemory) {
   guest_tx.join();
   server_tx.join();
   guest_rx.join();
+}
+
+std::size_t thread_count() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
+}
+
+// The device side of both virtqueues runs on the guest's own send() and
+// recv(): bringing a transport up and moving bytes both ways starts no
+// backend thread.
+TEST(VirtioNet, StartsNoThread) {
+  const std::size_t before = thread_count();
+  VirtioFixtureBase f(hermit_like_profile());
+  const std::vector<std::uint8_t> msg = {1, 2, 3, 4};
+  std::vector<std::uint8_t> got(msg.size());
+  f.guest->send(msg);
+  f.server->recv_exact(got);
+  f.server->send(msg);
+  f.guest->recv_exact(got);
+  EXPECT_EQ(got, msg);
+  EXPECT_EQ(thread_count(), before);
+}
+
+// Running the device inline keeps the virtio accounting of a small message:
+// one frame, one TX kick, one RX interrupt.
+TEST(VirtioNet, OneKickAndOneInterruptPerSmallMessage) {
+  VirtioFixtureBase f(hermit_like_profile());
+  constexpr std::uint64_t kRoundTrips = 50;
+  std::vector<std::uint8_t> msg(100);
+  std::vector<std::uint8_t> got(msg.size());
+  for (std::uint64_t i = 0; i < kRoundTrips; ++i) {
+    msg[0] = static_cast<std::uint8_t>(i);
+    f.guest->send(msg);
+    f.server->recv_exact(got);
+    f.server->send(got);
+    f.guest->recv_exact(got);
+    ASSERT_EQ(got, msg);
+  }
+  const TransportStats stats = f.guest->stats();
+  EXPECT_EQ(f.guest->tx_kicks(), kRoundTrips);
+  EXPECT_EQ(stats.frames_tx, kRoundTrips);
+  EXPECT_EQ(f.guest->rx_interrupts(), kRoundTrips);
+  EXPECT_EQ(stats.frames_rx, kRoundTrips);
+}
+
+TEST(VirtioNet, BlockedRecvReturnsEofWhenPeerShutsDown) {
+  testutil::within(std::chrono::seconds(10), [] {
+    VirtioFixtureBase f(hermit_like_profile());
+    std::thread closer([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      f.server->shutdown();
+    });
+    std::uint8_t buf[16];
+    EXPECT_EQ(f.guest->recv(buf), 0u);
+    closer.join();
+  });
+}
+
+// recv() owns the blocking wire pop, so it honours a receive deadline, and a
+// timeout loses no byte that arrives afterwards.
+TEST(VirtioNet, RecvTimeoutThrowsThenDelivers) {
+  testutil::within(std::chrono::seconds(10), [] {
+    VirtioFixtureBase f(hermit_like_profile());
+    ASSERT_TRUE(f.guest->set_recv_timeout(std::chrono::milliseconds(20)));
+    std::uint8_t buf[3];
+    EXPECT_THROW((void)f.guest->recv(buf), rpc::TransportTimeout);
+    const std::vector<std::uint8_t> msg = {7, 8, 9};
+    f.server->send(msg);
+    f.guest->recv_exact(buf);
+    EXPECT_EQ(std::vector<std::uint8_t>(buf, buf + 3), msg);
+  });
 }
 
 TEST(VirtioNet, SoftwareChecksumPathComputesChecksums) {

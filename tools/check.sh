@@ -63,6 +63,9 @@
 #                    build: the pipelined client must reach >= 4x the
 #                    serial client's virtual-time call rate on at least one
 #                    environment (the bench's own exit code)
+#  21. fig7-smoke    bench_fig7_bandwidth (16 MiB, one run) from the plain
+#                    build: every environment's bulk copy, both directions,
+#                    byte-compared (exit non-zero on any UNVERIFIED row)
 #
 # Stages whose toolchain is unavailable (no clang, no clang-tidy) report
 # SKIP and do not fail the gate. The first FAIL stops the run; a summary
@@ -439,6 +442,19 @@ if should_continue; then
   else
     run_stage rpcflow-gate build/bench/bench_rpcflow --calls=2000 --depth=32 \
       --json=build/bench_rpcflow.json
+  fi
+fi
+
+# ------------------------------------------------------------ 21: fig7-smoke
+# The bulk lane on every virtio profile, byte-compared: Linux-VM TSO/GRO
+# 64 KiB frames, Unikraft software-checksummed frames and Hermit MSS frames
+# through the virtio transport. bench_fig7_bandwidth exits non-zero when
+# any row's bytes did not round-trip.
+if should_continue; then
+  if [[ ! -x build/bench/bench_fig7_bandwidth ]]; then
+    record fig7-smoke "SKIP (build/bench/bench_fig7_bandwidth missing — run plain stage first)"
+  else
+    run_stage fig7-smoke build/bench/bench_fig7_bandwidth --mib=16 --runs=1
   fi
 fi
 
