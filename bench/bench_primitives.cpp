@@ -120,10 +120,10 @@ void BM_VirtqueueProduceConsume(benchmark::State& state) {
   for (auto _ : state) {
     const auto head = vq.add_chain(bufs, {});
     vq.kick(*head);
-    auto chain = vq.pop_avail(false);
+    auto chain = vq.pop_avail();
     benchmark::DoNotOptimize(vq.gather(*chain));
     vq.push_used(chain->head, 0);
-    const auto used = vq.take_used(false);
+    const auto used = vq.take_used();
     vq.recycle(used->first);
   }
   state.SetItemsProcessed(state.iterations());

@@ -1,7 +1,7 @@
 #include "cricket/server.hpp"
 
-#include <deque>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "cricket/checkpoint.hpp"
@@ -109,8 +109,8 @@ class CricketSession final : public proto::CRICKETVERSService,
     // multi-session tenant: a reconnecting client can only adopt the
     // session exported under its own credential, so the imported DRC
     // entries (keyed client id + xid) always match its re-sent xids.
-    // Admission runs this on the reader thread before any dispatch, so the
-    // DRC import strictly precedes every lookup on this connection — a
+    // Admission runs this on the serving thread before any dispatch, so
+    // the DRC import strictly precedes every lookup on this connection — a
     // re-sent completed xid can never re-execute.
     if (spec) {
       if (auto adopted = server_->take_adoption(spec->name, client_id)) {
@@ -892,10 +892,9 @@ class TenantAdmission final : public rpc::AdmissionController {
 
   ~TenantAdmission() override {
     // serve_transport has returned before the controller is destroyed, so
-    // anything still pending is a call whose dispatch never produced a
+    // a call still pending is one whose dispatch never produced a
     // completion (exception unwind); balance the outstanding accounting.
-    for (const auto tenant : pending_)
-      if (tenant != tenancy::kInvalidTenant) tenants_->complete_call(tenant);
+    complete();
     if (tenant_ != tenancy::kInvalidTenant)
       tenants_->close_session(tenant_, id_);
   }
@@ -908,7 +907,7 @@ class TenantAdmission final : public rpc::AdmissionController {
     } catch (const std::exception&) {
       // Structurally invalid: let the decode path produce the format error;
       // its completion must not be charged to any tenant.
-      push_pending(tenancy::kInvalidTenant);
+      pending_ = tenancy::kInvalidTenant;
       return std::nullopt;
     }
     if (tenant_ == tenancy::kInvalidTenant) {
@@ -940,27 +939,17 @@ class TenantAdmission final : public rpc::AdmissionController {
     }
     const auto admitted = tenants_->admit_call(tenant_, record.size());
     if (!admitted.admitted) return rejected(header.xid, admitted.reason);
-    push_pending(tenant_);
+    pending_ = tenant_;
     return std::nullopt;
   }
 
   void complete() override {
-    tenancy::TenantId tenant = tenancy::kInvalidTenant;
-    {
-      sim::MutexLock lock(mu_);
-      if (pending_.empty()) return;
-      tenant = pending_.front();
-      pending_.pop_front();
-    }
-    if (tenant != tenancy::kInvalidTenant) tenants_->complete_call(tenant);
+    const auto tenant = std::exchange(pending_, std::nullopt);
+    if (tenant && *tenant != tenancy::kInvalidTenant)
+      tenants_->complete_call(*tenant);
   }
 
  private:
-  void push_pending(tenancy::TenantId tenant) {
-    sim::MutexLock lock(mu_);
-    pending_.push_back(tenant);
-  }
-
   static std::optional<rpc::ReplyMsg> denied(std::uint32_t xid) {
     rpc::ReplyMsg reply;
     reply.xid = xid;
@@ -1008,13 +997,11 @@ class TenantAdmission final : public rpc::AdmissionController {
   tenancy::SessionManager* tenants_;
   CricketSession* session_;
   std::uint64_t id_;
-  /// Written only on the reader thread (admit); read by the destructor.
   tenancy::TenantId tenant_ = tenancy::kInvalidTenant;
-  sim::Mutex mu_;
-  /// Tenant to credit per admitted record, in admission order. admit()
-  /// pushes on the reader thread; complete() pops on the (single) pipelined
-  /// worker, which processes records in the same order.
-  std::deque<tenancy::TenantId> pending_ CRICKET_GUARDED_BY(mu_);
+  /// The tenant to credit when the admitted record completes. The serve
+  /// loop admits and completes one record at a time on its own thread, so
+  /// one slot and no lock suffice.
+  std::optional<tenancy::TenantId> pending_;
 };
 
 }  // namespace

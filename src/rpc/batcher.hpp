@@ -4,15 +4,13 @@
 // cudaGetDeviceCount — pays one full send (syscall, virtqueue kick, wire
 // latency) per call on the synchronous path. The batcher coalesces
 // back-to-back record-marked calls into a single transport send and flushes
-// when the buffer fills (bytes or record count), when a wall-clock deadline
-// expires since the oldest buffered call, or when the caller flushes
-// explicitly — so latency-sensitive callers can opt out of the wait.
+// when the buffer fills (bytes or record count) or when the caller flushes.
+// It owns no thread: RpcClient flushes at its sync points (a blocking call,
+// drain(), a full window) and when a caller blocks on a reply still held.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "rpc/record.hpp"
@@ -32,23 +30,18 @@ class CallBatcher {
     std::size_t max_bytes = 8 * 1024;
     /// Flush as soon as this many records are buffered.
     std::uint32_t max_calls = 16;
-    /// Flush this long (wall clock) after the oldest buffered record if
-    /// neither threshold fills. Zero disables the background flusher:
-    /// only full/explicit flushes happen — callers must flush before
-    /// blocking on a reply.
-    std::chrono::microseconds deadline{200};
   };
 
   struct Stats {
     std::uint64_t records = 0;
     std::uint64_t batches = 0;  // transport sends
     std::uint64_t flush_full = 0;
-    std::uint64_t flush_deadline = 0;
     std::uint64_t flush_explicit = 0;
     std::uint64_t bytes = 0;
   };
 
-  CallBatcher(Transport& transport, Options options);
+  CallBatcher(Transport& transport, Options options)
+      : transport_(&transport), options_(options) {}
   ~CallBatcher();
 
   CallBatcher(const CallBatcher&) = delete;
@@ -73,24 +66,18 @@ class CallBatcher {
   [[nodiscard]] std::uint32_t buffered() const CRICKET_EXCLUDES(mu_);
 
  private:
-  enum class Cause { kFull, kDeadline, kExplicit };
-
-  /// Sends buf_ as one transport write.
-  void flush_locked(Cause cause) CRICKET_REQUIRES(mu_);
-  void deadline_loop() CRICKET_EXCLUDES(mu_);
+  /// Sends buf_ as one transport write; `full` says a threshold, not a
+  /// caller, asked for it.
+  void flush_locked(bool full) CRICKET_REQUIRES(mu_);
 
   Transport* transport_;
   Options options_;
 
   mutable sim::Mutex mu_;
-  sim::CondVar cv_;  // wakes the deadline flusher
   std::vector<std::uint8_t> buf_ CRICKET_GUARDED_BY(mu_);
   std::uint32_t buffered_calls_ CRICKET_GUARDED_BY(mu_) = 0;
-  std::chrono::steady_clock::time_point oldest_ CRICKET_GUARDED_BY(mu_){};
   bool failed_ CRICKET_GUARDED_BY(mu_) = false;
-  bool stopping_ CRICKET_GUARDED_BY(mu_) = false;
   Stats stats_ CRICKET_GUARDED_BY(mu_);
-  std::thread flusher_;
 };
 
 }  // namespace cricket::rpc

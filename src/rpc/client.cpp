@@ -16,6 +16,12 @@ obs::Counter& counter(const char* name, const char* help) {
   return obs::Registry::global().counter(name, {}, help);
 }
 
+/// Depth 1 reads exactly; the reader thread reads ahead, so one recv
+/// covers many replies.
+std::size_t read_ahead(const ClientOptions& options) {
+  return options.max_outstanding > 1 ? RecordReader::kPipelinedReadAhead : 0;
+}
+
 /// The xid: the first word of every reply, readable before decode.
 std::uint32_t peek_xid(std::span<const std::uint8_t> record) {
   return (std::uint32_t{record[0]} << 24) | (std::uint32_t{record[1]} << 16) |
@@ -79,32 +85,38 @@ RpcClient::RpcClient(std::unique_ptr<Transport> transport, std::uint32_t prog,
                      std::uint32_t vers, ClientOptions options)
     : transport_(std::move(transport)),
       writer_(*transport_),
-      reader_(*transport_),
+      reader_(*transport_, RecordReader::kDefaultMaxRecord,
+              read_ahead(options)),
       prog_(prog),
       vers_(vers),
       options_(std::move(options)),
       next_xid_(options_.initial_xid) {
   if (options_.max_outstanding <= 1) return;  // depth 1 starts no thread
   batcher_ = std::make_shared<CallBatcher>(*transport_, options_.batch);
-  reader_thread_ = std::thread([this] { reader_loop(); });
-  if (options_.retry.enabled)
-    retry_thread_ = std::thread([this] { retry_loop(); });
+  reader_thread_ = std::thread([this] {
+    std::vector<std::uint8_t> record;
+    while (step(record)) {
+    }
+  });
 }
 
 RpcClient::~RpcClient() {
   {
     sim::MutexLock lock(mu_);
-    stopping_ = true;
+    stopping_ = true;  // a failed connection now closes the client
   }
-  retry_cv_.notify_all();
-  if (retry_thread_.joinable()) retry_thread_.join();
-  // Push out anything still buffered, then half-close: the server drains,
-  // replies and closes its side, which ends the reader loop (failing every
-  // remaining future; with stopping_ set it will not reconnect).
-  batcher_.reset();
+  // Push out anything still buffered, half-close so the server ends the
+  // session, and close the read side so the reader wakes even when the
+  // peer never closes: it fails every call still pending and returns.
+  try {
+    flush();
+  } catch (const TransportError&) {
+    // Dead already: the reader fails what is pending.
+  }
   try {
     sim::MutexLock lock(mu_);  // vs. the reader swapping transport_
     transport_->shutdown();
+    if (reader_thread_.joinable()) transport_->shutdown_read();
   } catch (...) {  // destructor must not throw
   }
   if (reader_thread_.joinable()) reader_thread_.join();
@@ -125,22 +137,21 @@ ReplyFuture RpcClient::call_raw_async(std::uint32_t proc,
 
   ReplyPromise promise;
   ReplyFuture future(promise.state());
-  // A zero-deadline batcher has no background flusher, so blocking on a call
-  // it still holds would hang: the hook flags the misuse and flushes.
-  if (batcher_ && options_.batch.enabled &&
-      options_.batch.deadline.count() == 0) {
+  // Nothing flushes the batcher in the background, so blocking on a call it
+  // still holds would hang: the hook flags the misuse and flushes.
+  if (batcher_ && options_.batch.enabled) {
     promise.state()->on_block =
         [weak = std::weak_ptr<CallBatcher>(batcher_)] {
           const auto batcher = weak.lock();
           if (!batcher || batcher->buffered() == 0) return;
           static obs::Counter& unflushed =
               counter("cricket_batch_unflushed_waits_total",
-                      "Futures blocked on while calls sat unflushed in a "
-                      "zero-deadline batcher (caller should flush first)");
+                      "Futures blocked on while calls sat unflushed in the "
+                      "batcher (caller should flush first)");
           unflushed.inc();
           std::fprintf(stderr,
-                       "rpc: flushing %u call(s) a zero-deadline batcher "
-                       "held under a blocking caller; flush() first\n",
+                       "rpc: flushing %u batched call(s) under a blocking "
+                       "caller; flush() first\n",
                        batcher->buffered());
           try {
             batcher->flush();
@@ -206,11 +217,7 @@ ReplyFuture RpcClient::call_raw_async(std::uint32_t proc,
       it->second.record = record;
   }
   send(record);
-  if (batcher_) {
-    retry_cv_.notify_all();  // the retry thread arms the new call's timer
-  } else {
-    await(future);
-  }
+  if (!batcher_) await(future);
   return future;
 }
 
@@ -235,94 +242,58 @@ void RpcClient::send(std::span<const std::uint8_t> record) {
 void RpcClient::await(const ReplyFuture& future) {
   const obs::Span wait_span(obs::Layer::kClientWait);
   std::vector<std::uint8_t> record;
-  while (!future.ready()) {
-    const auto now = Clock::now();
-    std::vector<std::vector<std::uint8_t>> resend;
-    Clock::time_point due;
-    bool backing_off = false;
-    {
-      sim::MutexLock lock(mu_);
-      resend = expire_locked(now, due);
-      if (pending_.empty()) break;  // completed (or failed) just now
-      backing_off = pending_.begin()->second.backing_off;
-    }
-    for (const auto& r : resend) send(r);
-    if (!resend.empty()) continue;
-    if (backing_off) {
-      std::this_thread::sleep_until(due);
-      continue;
-    }
-    if (due != Clock::time_point::max()) {
-      (void)transport_->set_recv_timeout(std::max<std::chrono::nanoseconds>(
-          due - now, std::chrono::microseconds(1)));
-    }
-    try {
-      if (!reader_.read_record(record))
-        throw TransportError("connection closed while awaiting reply");
-      on_record(record);
-    } catch (const TransportTimeout&) {
-      // The attempt expired; the next pass fires its timer.
-    } catch (const TransportError& e) {
-      sim::MutexLock lock(mu_);
-      (void)reconnect_locked(Clock::now(), e.what());
-    }
+  while (!future.ready() && step(record)) {
   }
   if (options_.retry.enabled)
     (void)transport_->set_recv_timeout(std::chrono::nanoseconds::zero());
 }
 
-void RpcClient::reader_loop() {
-  sim::MutexLock lock(mu_);
-  RecordReader reader(*transport_, RecordReader::kDefaultMaxRecord,
-                      RecordReader::kPipelinedReadAhead);
-  std::uint64_t generation = generation_;
-  std::vector<std::uint8_t> record;
-  for (;;) {
-    lock.unlock();
-    std::string reason = "connection closed by peer";
-    bool got = false;
-    try {
-      got = reader.read_record(record);
-      if (got) on_record(record);
-    } catch (const TransportError& e) {
-      reason = e.what();
-    }
-    lock.lock();
-    if (!got && generation_ == generation &&
-        !reconnect_locked(Clock::now(), reason))
-      return;
-    if (generation_ != generation) {
-      // A reconnect replaced the connection: read the new one.
-      reader = RecordReader(*transport_, RecordReader::kDefaultMaxRecord,
-                            RecordReader::kPipelinedReadAhead);
-      generation = generation_;
-    }
-  }
-}
-
-void RpcClient::retry_loop() {
-  sim::MutexLock lock(mu_);
-  while (!stopping_ && !dead_) {
+bool RpcClient::step(std::vector<std::uint8_t>& record) {
+  const RetryPolicy& policy = options_.retry;
+  if (policy.enabled) {
+    const auto now = Clock::now();
     Clock::time_point due;
-    const auto resend = expire_locked(Clock::now(), due);
-    if (resend.empty()) {
-      if (due == Clock::time_point::max()) {
-        retry_cv_.wait(mu_);
-      } else {
-        retry_cv_.wait_until(mu_, due);
+    std::vector<std::vector<std::uint8_t>> resend;
+    {
+      sim::MutexLock lock(mu_);
+      resend = expire_locked(now, due);
+      // Depth 1 reads only for the call it awaits.
+      if (!batcher_ && pending_.empty()) return true;
+    }
+    if (!resend.empty()) {
+      // Same xid again: the server's duplicate-request cache answers
+      // repeats. A failed send may have moved the timers: step again.
+      for (const auto& r : resend) send(r);
+      try {
+        flush();
+      } catch (const TransportError&) {
+        // The next read finds the dead connection.
       }
-      continue;
+      return true;
     }
-    lock.unlock();
-    // Same xid again: the server's duplicate-request cache answers repeats.
-    for (const auto& record : resend) send(record);
-    try {
-      flush();
-    } catch (const TransportError&) {
-      // Dead transport: the reader repairs the connection or fails all.
-    }
-    lock.lock();
+    // A call issued during the wait is due no sooner than this wait after
+    // it, so waking by then keeps its timer on time too.
+    auto wait = policy.attempt_timeout;
+    if (policy.deadline > std::chrono::nanoseconds::zero())
+      wait = std::min(wait, policy.deadline);
+    if (due != Clock::time_point::max())
+      wait = std::min<std::chrono::nanoseconds>(wait, due - now);
+    (void)transport_->set_recv_timeout(
+        std::max<std::chrono::nanoseconds>(wait, std::chrono::microseconds(1)));
   }
+  std::string reason = "connection closed by peer";
+  try {
+    if (reader_.read_record(record)) {
+      on_record(record);
+      return true;
+    }
+  } catch (const TransportTimeout&) {
+    return true;  // a timer is due: the next step fires it
+  } catch (const TransportError& e) {
+    reason = e.what();
+  }
+  sim::MutexLock lock(mu_);
+  return reconnect_locked(Clock::now(), reason);
 }
 
 void RpcClient::on_record(std::span<const std::uint8_t> record) {
@@ -466,7 +437,6 @@ RpcClient::Pending::iterator RpcClient::retry_or_fail_locked(
       "cricket_rpc_retries_total",
       "RPC call attempts beyond the first (timeout or transport failure)");
   retries.inc();
-  retry_cv_.notify_all();
   return std::next(it);
 }
 
@@ -484,14 +454,13 @@ bool RpcClient::reconnect_locked(Clock::time_point now,
     dead_ = true;
     const std::string what = "connection failed with calls in flight: " + reason;
     fail_all_locked([&] { return TransportError(what); });
-    retry_cv_.notify_all();
     return false;
   }
   if (batcher_) batcher_->rebind(*fresh);
   transport_ = std::move(fresh);
   writer_ = RecordWriter(*transport_);
-  reader_ = RecordReader(*transport_);
-  ++generation_;
+  reader_ = RecordReader(*transport_, RecordReader::kDefaultMaxRecord,
+                         read_ahead(options_));
   ++stats_.reconnects;
   static obs::Counter& reconnects =
       counter("cricket_rpc_reconnects_total",

@@ -10,10 +10,11 @@
 //     §4.2): each call is written with RecordWriter and its reply read with
 //     RecordReader on the calling thread. No thread is started.
 //   * N > 1: up to N calls on the wire at once, through the small-call
-//     batcher; a reader thread matches replies, in any order, to their
-//     ReplyFutures by xid, and with retry on a retry thread re-sends.
+//     batcher; one reader thread matches replies, in any order, to their
+//     ReplyFutures by xid, and with retry on also fires the retry timers.
 // Everything else exists once for both: xids, credential, encoding, reply
-// pre-flight and classification, the retry decision, reconnect and stats.
+// pre-flight and classification, the retry timers and decision, reconnect
+// and stats.
 #pragma once
 
 #include <chrono>
@@ -241,13 +242,15 @@ class RpcClient {
 
   /// Writes one record: RecordWriter at depth 1, the batcher above it.
   void send(std::span<const std::uint8_t> record) CRICKET_EXCLUDES(mu_);
-  /// Depth 1: reads replies, fires timers and re-sends on the calling
-  /// thread until `future` completes.
+  /// Depth 1: steps on the calling thread until `future` completes.
   void await(const ReplyFuture& future) CRICKET_EXCLUDES(mu_);
-  void reader_loop() CRICKET_EXCLUDES(mu_);
-  void retry_loop() CRICKET_EXCLUDES(mu_);
 
   // The shared steps both drivers are built from.
+  /// Fires due retry timers and re-sends what they release; otherwise reads
+  /// and handles one reply, waiting no later than the next timer. Depth 1
+  /// (await) and the reader thread run nothing else. Returns false once the
+  /// client has closed.
+  bool step(std::vector<std::uint8_t>& record) CRICKET_EXCLUDES(mu_);
   /// Classifies one reply record and completes, retries or drops it.
   void on_record(std::span<const std::uint8_t> record) CRICKET_EXCLUDES(mu_);
   /// Fires due timers and returns the records to re-send now; `next_due`
@@ -284,28 +287,26 @@ class RpcClient {
 
   std::unique_ptr<Transport> transport_;
   RecordWriter writer_;  // depth 1
-  RecordReader reader_;  // depth 1
+  /// Read only by step(): on the caller's thread at depth 1, on the reader
+  /// thread above it, which is then also the only one to reconnect.
+  RecordReader reader_;
   std::uint32_t prog_;
   std::uint32_t vers_;
   ClientOptions options_;
-  /// Depth > 1 only. shared_ptr: the zero-deadline on_block hooks hold weak
-  /// copies, so a racing teardown never frees it under them.
+  /// Depth > 1 only. shared_ptr: the on_block hooks hold weak copies, so a
+  /// racing teardown never frees it under them.
   std::shared_ptr<CallBatcher> batcher_;
 
   mutable sim::Mutex mu_;
   sim::CondVar slots_cv_;  // outstanding window + drain waiters
-  sim::CondVar retry_cv_;  // wakes the retry thread (timers / teardown)
   Pending pending_ CRICKET_GUARDED_BY(mu_);
   std::uint32_t next_xid_ CRICKET_GUARDED_BY(mu_);
   OpaqueAuth cred_ CRICKET_GUARDED_BY(mu_);
-  /// Bumped per reconnect, so the reader thread rebinds to transport_.
-  std::uint64_t generation_ CRICKET_GUARDED_BY(mu_) = 0;
   bool dead_ CRICKET_GUARDED_BY(mu_) = false;
   bool stopping_ CRICKET_GUARDED_BY(mu_) = false;
   ClientStats stats_ CRICKET_GUARDED_BY(mu_);
 
-  std::thread reader_thread_;
-  std::thread retry_thread_;
+  std::thread reader_thread_;  // depth > 1
 };
 
 }  // namespace cricket::rpc

@@ -30,11 +30,11 @@ struct ReplyState {
   std::vector<std::uint8_t> value CRICKET_GUARDED_BY(mu);
   std::exception_ptr error CRICKET_GUARDED_BY(mu);
   /// Invoked (outside the lock) when a caller is about to block on this
-  /// future while it is not ready. The client installs it on calls issued
-  /// through a zero-deadline batcher: with no background flusher, blocking
-  /// on an unflushed call would hang forever — the hook flushes (and
-  /// counts the near-miss) instead. Set before the state is shared; never
-  /// mutated afterwards.
+  /// future while it is not ready. The client installs it on batched calls:
+  /// nothing flushes the batcher in the background, so blocking on an
+  /// unflushed call would hang forever — the hook flushes (and counts the
+  /// near-miss) instead. Set before the state is shared; never mutated
+  /// afterwards.
   std::function<void()> on_block;
 };
 

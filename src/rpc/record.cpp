@@ -56,22 +56,23 @@ void append_record_marked(std::vector<std::uint8_t>& out,
   } while (off < record.size());
 }
 
-bool RecordReader::take(std::span<std::uint8_t> dst, bool eof_ok) {
+bool RecordReader::take(std::span<std::uint8_t> dst, std::size_t& done,
+                        bool eof_ok) {
   for (;;) {
-    const std::size_t n = std::min(dst.size(), buf_.size() - pos_);
+    const std::size_t n = std::min(dst.size() - done, buf_.size() - pos_);
     if (n > 0) {
-      std::memcpy(dst.data(), buf_.data() + pos_, n);
+      std::memcpy(dst.data() + done, buf_.data() + pos_, n);
       pos_ += n;
-      dst = dst.subspan(n);
+      done += n;
       eof_ok = false;
     }
-    if (dst.empty()) return true;
+    if (done == dst.size()) return true;
     // The buffer is drained here. Bytes that would not fit a read-ahead
     // chunk skip it; anything smaller refills it.
     std::size_t got;
-    if (dst.size() >= read_ahead_) {
-      got = transport_->recv(dst);
-      dst = dst.subspan(got);
+    if (dst.size() - done >= read_ahead_) {
+      got = transport_->recv(dst.subspan(done));
+      done += got;
     } else {
       buf_.resize(read_ahead_);
       pos_ = read_ahead_;  // still empty if recv throws (a timeout)
@@ -88,23 +89,33 @@ bool RecordReader::take(std::span<std::uint8_t> dst, bool eof_ok) {
 }
 
 bool RecordReader::read_record(std::vector<std::uint8_t>& out) {
-  out.clear();
-  for (bool first = true;; first = false) {
-    std::uint8_t hdr[4];
-    // Clean EOF (no record) is only legal before the first header byte.
-    if (!take(hdr, first)) return false;
-    const std::uint32_t h = get_header(hdr);
-    const std::uint32_t len = h & ~kLastFragmentBit;
-    if (out.size() + len > max_record_)
-      throw TransportError("RPC record exceeds maximum size");
-    const std::size_t old = out.size();
-    out.resize(old + len);
-    (void)take(std::span(out.data() + old, len), false);
-    if ((h & kLastFragmentBit) != 0) return true;
+  for (;;) {
+    if (filled_ == record_.size()) {  // no fragment body left to read
+      // Clean EOF (no record) is only legal before the first header byte.
+      if (!take(header_, header_got_, !started_ && header_got_ == 0))
+        return false;
+      header_got_ = 0;
+      const std::uint32_t h = get_header(header_);
+      const std::uint32_t len = h & ~kLastFragmentBit;
+      if (record_.size() + len > max_record_)
+        throw TransportError("RPC record exceeds maximum size");
+      record_.resize(record_.size() + len);
+      last_ = (h & kLastFragmentBit) != 0;
+      started_ = true;
+    }
+    (void)take(record_, filled_, false);
+    if (last_) {
+      out.swap(record_);
+      record_.clear();
+      filled_ = 0;
+      started_ = false;
+      return true;
+    }
   }
 }
 
 bool RecordReader::has_record() const noexcept {
+  if (started_ || header_got_ > 0) return false;
   // Walks untrusted fragment lengths: every step is bounded by the bytes
   // actually buffered, and the running total by max_record_.
   std::size_t at = pos_;

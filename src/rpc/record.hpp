@@ -50,11 +50,14 @@ void append_record_marked(std::vector<std::uint8_t>& out,
 /// Reads one complete record (reassembling fragments) per call.
 ///
 /// `read_ahead` 0 issues exact reads: the first header, the rest of it, then
-/// each fragment body straight into the output record. A nonzero
-/// `read_ahead` pulls up to that many bytes per recv into an internal buffer
-/// instead, so one recv covers many small back-to-back records (pipelined
-/// calls, coalesced replies); fragment bodies at least that large still go
-/// straight into the record.
+/// each fragment body straight into the record. A nonzero `read_ahead` pulls
+/// up to that many bytes per recv into an internal buffer instead, so one
+/// recv covers many small back-to-back records (pipelined calls, coalesced
+/// replies); fragment bodies at least that large still go straight into the
+/// record.
+///
+/// A TransportTimeout out of read_record() keeps the part of the record
+/// already read: the next read_record() resumes where it stopped.
 class RecordReader {
  public:
   explicit RecordReader(Transport& transport,
@@ -69,7 +72,7 @@ class RecordReader {
 
   /// True when the read-ahead buffer already holds a whole record, so the
   /// next read_record() returns without touching the transport. Always
-  /// false at read-ahead 0.
+  /// false at read-ahead 0 and while a record is partly read.
   [[nodiscard]] bool has_record() const noexcept;
 
   /// Largest legitimate record: the CRICKET_MAX_PAYLOAD opaque bound
@@ -84,15 +87,27 @@ class RecordReader {
   static constexpr std::size_t kPipelinedReadAhead = 64 * 1024;
 
  private:
-  /// Fills `dst` from the buffer, then the transport. Returns false when the
-  /// stream ends before the first byte and `eof_ok`; throws on any other EOF.
-  [[nodiscard]] bool take(std::span<std::uint8_t> dst, bool eof_ok);
+  /// Fills `dst` from its `done`-th byte on, from the buffer, then the
+  /// transport, counting each byte in `done` as it lands. Returns false when
+  /// the stream ends before the first byte and `eof_ok`; throws on any
+  /// other EOF.
+  [[nodiscard]] bool take(std::span<std::uint8_t> dst, std::size_t& done,
+                          bool eof_ok);
 
   Transport* transport_;
   std::size_t max_record_;
   std::size_t read_ahead_;
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;  // consumed prefix of buf_
+  // The record being read: its fragments so far (record_.size() includes
+  // the whole current fragment), the bytes of them that have arrived, and
+  // the next fragment header.
+  std::vector<std::uint8_t> record_;
+  std::size_t filled_ = 0;
+  std::uint8_t header_[4] = {};
+  std::size_t header_got_ = 0;
+  bool last_ = false;     // the current fragment ends the record
+  bool started_ = false;  // a header of this record was parsed
 };
 
 }  // namespace cricket::rpc

@@ -297,8 +297,8 @@ void serve_transport(const ServiceRegistry& registry, Transport& transport,
   } catch (const TransportError&) {
     // The peer vanished mid-record or stopped reading: nothing to reply to.
   }
-  // Half-close our write side so a pipelined client's reader thread, which
-  // blocks on recv between replies, observes end-of-stream.
+  // Half-close our write side so a client blocked on recv between replies
+  // (a pipelined client's reader) observes end-of-stream.
   try {
     transport.shutdown();
   } catch (const TransportError&) {

@@ -68,6 +68,12 @@ class Transport {
 
   /// Half-closes the write side; the peer's recv() will drain then return 0.
   virtual void shutdown() = 0;
+
+  /// Closes the read side: a recv() blocked now or later returns what is
+  /// already buffered, then 0. Safe to call from another thread while
+  /// recv() blocks. The base implementation does nothing, so a decorator
+  /// that does not forward it leaves the reader to the peer's close.
+  virtual void shutdown_read() {}
 };
 
 /// One direction of an in-process pipe: a bounded byte FIFO kept in a
@@ -129,6 +135,7 @@ class PipeTransport final : public Transport {
     return true;
   }
   void shutdown() override { tx_->close(); }
+  void shutdown_read() override { rx_->close(); }
 
  private:
   std::shared_ptr<ByteQueue> tx_;
@@ -152,6 +159,7 @@ class TcpTransport final : public Transport {
   std::size_t recv(std::span<std::uint8_t> out) override;
   bool set_recv_timeout(std::chrono::nanoseconds timeout) override;
   void shutdown() override;
+  void shutdown_read() override;
 
   /// Connects to 127.0.0.1:`port`.
   [[nodiscard]] static std::unique_ptr<TcpTransport> connect_loopback(

@@ -6,7 +6,7 @@
 // weight/priority, and a quota envelope. Each incoming connection becomes
 // a session bound to exactly one tenant at its first call; per-call
 // admission (outstanding-call cap + bytes/sec token bucket) then runs on
-// the connection's reader thread before any argument decode, and
+// the connection's serving thread before any argument decode, and
 // rejections are answered with the typed kQuotaExceeded reply — the
 // connection always survives.
 //

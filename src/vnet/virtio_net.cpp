@@ -75,7 +75,7 @@ void VirtioNetTransport::post_rx_buffer() {
 }
 
 void VirtioNetTransport::reclaim_tx_descriptors() {
-  while (auto used = tx_.take_used(/*wait=*/false)) tx_.recycle(used->first);
+  while (auto used = tx_.take_used()) tx_.recycle(used->first);
 }
 
 void VirtioNetTransport::send(std::span<const std::uint8_t> data) {
@@ -132,7 +132,7 @@ void VirtioNetTransport::run_tx_device() {
   // chains. One push per burst lets the peer read the burst in one go.
   tx_heads_.clear();
   tx_payloads_.clear();
-  while (auto chain = tx_.pop_avail(/*wait=*/false)) {
+  while (auto chain = tx_.pop_avail()) {
     try {
       tx_payloads_.push_back(
           view_frame(tx_.view_readable(*chain), /*verify=*/false).payload);
@@ -159,7 +159,7 @@ void VirtioNetTransport::receive_chunk(std::size_t n) {
   tcp.dst_port = kGuestPort;
   tcp.seq = rx_seq_;
   tcp.flags = static_cast<std::uint8_t>(kTcpAck | kTcpPsh);
-  const auto chain = rx_.pop_avail(/*wait=*/false).value();
+  const auto chain = rx_.pop_avail().value();
   const auto frame = rx_.view_writable(chain).first(kFrameHeaderLen + n);
   std::memcpy(frame.data() + kFrameHeaderLen, rx_chunk_.data(), n);
   seal_frame(frame, eth, ip, tcp, /*fill_checksums=*/true);
@@ -167,7 +167,7 @@ void VirtioNetTransport::receive_chunk(std::size_t n) {
   rx_.push_used(chain.head, static_cast<std::uint32_t>(frame.size()));
 
   // Guest side: take the completion and unwrap it in guest memory.
-  const auto [head, written] = rx_.take_used(/*wait=*/false).value();
+  const auto [head, written] = rx_.take_used().value();
   try {
     // Software checksum verification (real computation) unless the
     // GUEST_CSUM offload lets the guest trust the host.
@@ -211,10 +211,7 @@ std::size_t VirtioNetTransport::recv(std::span<std::uint8_t> out) {
       } else {
         break;  // nothing more queued right now
       }
-      if (n == 0) {
-        rx_.shutdown();  // wire closed and drained: EOF once pending runs out
-        break;
-      }
+      if (n == 0) break;  // wire closed and drained: EOF once pending runs out
       receive_chunk(n);
     }
   }

@@ -117,18 +117,13 @@ Virtqueue::add_buffer(std::uint32_t len) {
 }
 
 void Virtqueue::kick(std::uint16_t head) {
-  {
-    sim::MutexLock lock(mu_);
-    avail_ring_.push_back(head);
-    ++kick_count_;
-  }
-  avail_cv_.notify_one();
+  sim::MutexLock lock(mu_);
+  avail_ring_.push_back(head);
+  ++kick_count_;
 }
 
-std::optional<VirtqChain> Virtqueue::pop_avail(bool wait) {
+std::optional<VirtqChain> Virtqueue::pop_avail() {
   sim::MutexLock lock(mu_);
-  if (wait)
-    while (!shutdown_ && avail_ring_.empty()) avail_cv_.wait(mu_);
   if (avail_ring_.empty()) return std::nullopt;
   const std::uint16_t head = avail_ring_.front();
   avail_ring_.erase(avail_ring_.begin());
@@ -181,19 +176,14 @@ std::uint32_t Virtqueue::scatter(const VirtqChain& chain,
 }
 
 void Virtqueue::push_used(std::uint16_t head, std::uint32_t written) {
-  {
-    sim::MutexLock lock(mu_);
-    used_ring_.emplace_back(head, written);
-    ++interrupt_count_;
-  }
-  used_cv_.notify_one();
+  sim::MutexLock lock(mu_);
+  used_ring_.emplace_back(head, written);
+  ++interrupt_count_;
 }
 
-std::optional<std::pair<std::uint16_t, std::uint32_t>> Virtqueue::take_used(
-    bool wait) {
+std::optional<std::pair<std::uint16_t, std::uint32_t>>
+Virtqueue::take_used() {
   sim::MutexLock lock(mu_);
-  if (wait)
-    while (!shutdown_ && used_ring_.empty()) used_cv_.wait(mu_);
   if (used_ring_.empty()) return std::nullopt;
   const auto entry = used_ring_.front();
   used_ring_.erase(used_ring_.begin());
@@ -237,15 +227,6 @@ std::span<const std::uint8_t> Virtqueue::view_in_buffer(
 void Virtqueue::recycle(std::uint16_t head) {
   sim::MutexLock lock(mu_);
   free_chain_locked(head);
-}
-
-void Virtqueue::shutdown() {
-  {
-    sim::MutexLock lock(mu_);
-    shutdown_ = true;
-  }
-  avail_cv_.notify_all();
-  used_cv_.notify_all();
 }
 
 std::uint64_t Virtqueue::kicks() const noexcept {

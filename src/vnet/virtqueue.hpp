@@ -5,9 +5,8 @@
 // This is a faithful split-ring model: a descriptor table whose entries
 // address a guest memory arena, an available ring the driver fills, and a
 // used ring the device fills. Notifications ("kicks" guest→device and
-// "interrupts" device→guest) are counted, and wake condition-variable
-// waiters on the blocking pop_avail/take_used. VirtioNetTransport never
-// blocks on them: it runs both sides of each ring on the guest's calling
+// "interrupts" device→guest) are counted; nothing waits on them.
+// VirtioNetTransport runs both sides of each ring on the guest's calling
 // thread and polls. The cost model charges VM-exit time per kick at a
 // higher layer.
 #pragma once
@@ -89,9 +88,9 @@ class Virtqueue {
   /// Exposes the chain on the available ring and notifies the device.
   void kick(std::uint16_t head) CRICKET_EXCLUDES(mu_);
 
-  /// Completed chain from the used ring: (head, bytes written by device).
-  /// Blocks when `wait`; otherwise returns nullopt if none pending.
-  std::optional<std::pair<std::uint16_t, std::uint32_t>> take_used(bool wait)
+  /// Completed chain from the used ring: (head, bytes written by device),
+  /// or nullopt if none is pending.
+  std::optional<std::pair<std::uint16_t, std::uint32_t>> take_used()
       CRICKET_EXCLUDES(mu_);
 
   /// Reads back a device-written ("in") buffer of a completed chain and
@@ -108,9 +107,8 @@ class Virtqueue {
   void recycle(std::uint16_t head) CRICKET_EXCLUDES(mu_);
 
   // ------------------------------ device side ----------------------------
-  /// Next available chain; blocks when `wait` (returns nullopt on shutdown
-  /// or, for non-waiting calls, when the ring is empty).
-  std::optional<VirtqChain> pop_avail(bool wait) CRICKET_EXCLUDES(mu_);
+  /// Next available chain, or nullopt when the ring is empty.
+  std::optional<VirtqChain> pop_avail() CRICKET_EXCLUDES(mu_);
 
   /// Copies device-readable chain content out of guest memory.
   [[nodiscard]] std::vector<std::uint8_t> gather(const VirtqChain& chain)
@@ -131,8 +129,6 @@ class Virtqueue {
   /// Marks the chain used and notifies the driver.
   void push_used(std::uint16_t head, std::uint32_t written)
       CRICKET_EXCLUDES(mu_);
-
-  void shutdown() CRICKET_EXCLUDES(mu_);
 
   [[nodiscard]] std::uint16_t queue_size() const noexcept {
     return queue_size_;
@@ -155,13 +151,8 @@ class Virtqueue {
   std::vector<std::pair<std::uint16_t, std::uint32_t>> used_ring_
       CRICKET_GUARDED_BY(mu_);
   std::vector<std::uint16_t> free_list_ CRICKET_GUARDED_BY(mu_);
-  // Per-chain bookkeeping of allocated arena regions (addr reuse).
-  std::uint64_t arena_next_ = 0;
 
   mutable sim::Mutex mu_;
-  sim::CondVar avail_cv_;  // device waits for kicks
-  sim::CondVar used_cv_;   // driver waits for interrupts
-  bool shutdown_ CRICKET_GUARDED_BY(mu_) = false;
   std::uint64_t kick_count_ CRICKET_GUARDED_BY(mu_) = 0;
   std::uint64_t interrupt_count_ CRICKET_GUARDED_BY(mu_) = 0;
 };

@@ -2,7 +2,7 @@
 // the recovery machinery it exercises (client retry at depth 1 and
 // pipelined, the server duplicate-request cache, reconnects), and the
 // loss-recovery regressions the plane exposed (minitcp dup-ACK re-arm,
-// record size cap, zero-deadline batcher hangs).
+// record size cap, unflushed batcher hangs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -374,7 +374,6 @@ void run_matrix(const FaultSpec& spec, std::uint32_t depth,
     if (batched) {
       options.batch.enabled = true;
       options.batch.max_calls = 4;
-      options.batch.deadline = 200us;
     }
     rpc::RpcClient client(h.take_client_transport(), kProg, kVers, options);
     std::vector<rpc::TypedFuture<std::uint32_t>> futures;
@@ -779,7 +778,6 @@ TEST(ZeroDeadlineBatcher, BlockedFutureFlushesInsteadOfHanging) {
   options.batch.enabled = true;
   options.batch.max_calls = 1000;   // never fills
   options.batch.max_bytes = 1 << 20;
-  options.batch.deadline = 0us;     // no background flusher
   rpc::RpcClient channel(h.take_client_transport(), kProg, kVers, options);
   auto fut = channel.call_async<std::uint32_t>(kProcEcho, 9u);
   // No flush() — before the on_block hook this would deadlock forever.

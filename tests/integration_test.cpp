@@ -117,10 +117,10 @@ struct VirtioTcpHarness {
 
   std::vector<std::vector<std::uint8_t>> drain_tx() {
     std::vector<std::vector<std::uint8_t>> frames;
-    while (auto chain = tx_ring.pop_avail(false)) {
+    while (auto chain = tx_ring.pop_avail()) {
       frames.push_back(tx_ring.gather(*chain));
       tx_ring.push_used(chain->head, 0);
-      const auto used = tx_ring.take_used(false);
+      const auto used = tx_ring.take_used();
       tx_ring.recycle(used->first);
     }
     return frames;

@@ -451,8 +451,7 @@ TEST(ModelDrc, DuplicateDispatchExecutesHandlerOnce) {
 }
 
 // Core 5: the rpc CallBatcher flush race. Two appenders race a
-// threshold flush (deadline = 0 keeps the background flusher thread out of
-// the model); no record may be lost or sent twice, whatever the order.
+// threshold flush; no record may be lost or sent twice, whatever the order.
 TEST(ModelBatcher, ConcurrentAppendsLoseNothing) {
   struct CountingTransport final : rpc::Transport {
     std::atomic<std::size_t> bytes{0};
@@ -469,7 +468,6 @@ TEST(ModelBatcher, ConcurrentAppendsLoseNothing) {
     rpc::CallBatcher::Options opts;
     opts.enabled = true;
     opts.max_calls = 2;  // second append triggers the full-flush path
-    opts.deadline = std::chrono::microseconds{0};
     rpc::CallBatcher batcher(transport, opts);
     const std::vector<std::uint8_t> record(32, 0x5A);
     for (int i = 0; i < 2; ++i) {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "bounded_wait.hpp"
 #include "obs/metrics.hpp"
 #include "rpc/client.hpp"
 #include "rpc/record.hpp"
@@ -111,6 +112,45 @@ TEST(RpcClientDepth, DepthOneRunsOnTheCallersThreadOnly) {
     EXPECT_EQ(thread_count(), before);  // no reader, no retry thread
   }
   server.join();
+}
+
+TEST(RpcClientDepth, PipelinedClientAddsOnlyItsReader) {
+  ServiceRegistry registry = make_test_registry();
+  auto [client_end, server_end] = make_pipe_pair();
+  std::thread server([&registry, &server_end] {
+    serve_transport(registry, *server_end, ServeOptions{.workers = 1});
+  });
+  const std::size_t before = thread_count();
+  {
+    ClientOptions options;
+    options.max_outstanding = 32;
+    options.batch.enabled = true;
+    options.retry.enabled = true;
+    RpcClient client(std::move(client_end), kProg, kVers, options);
+    std::vector<TypedFuture<std::uint32_t>> futures;
+    for (std::uint32_t i = 0; i < 40; ++i)
+      futures.push_back(client.call_async<std::uint32_t>(kProcAdd, i, 1u));
+    client.drain();
+    for (std::uint32_t i = 0; i < 40; ++i) EXPECT_EQ(futures[i].get(), i + 1);
+    // The reader also fires the retry timers, and the batcher flushes at
+    // sync points: no retry thread, no flusher.
+    EXPECT_EQ(thread_count(), before + 1);
+  }
+  server.join();
+}
+
+TEST(RpcClientDepth, DestructorReturnsWhenThePeerNeverCloses) {
+  // The peer neither replies nor closes: teardown must wake the reader
+  // itself and fail the call still pending.
+  auto [client_end, server_end] = make_pipe_pair();
+  ReplyFuture pending;
+  testutil::within(std::chrono::seconds(10), [&] {
+    RpcClient client(std::move(client_end), kProg, kVers,
+                     ClientOptions{.max_outstanding = 4});
+    pending = client.call_raw_async(kProcAdd, {});
+    client.flush();
+  });
+  EXPECT_THROW((void)pending.get(), TransportError);
 }
 
 TEST(ServeLoop, StartsNoThread) {
@@ -379,6 +419,35 @@ TEST(RecordMarking, OversizeRecordRejected) {
   RecordReader reader(*b, /*max_record=*/1024);
   std::vector<std::uint8_t> out;
   EXPECT_THROW((void)reader.read_record(out), TransportError);
+}
+
+TEST(RecordMarking, TimeoutMidRecordKeepsThePartRead) {
+  // A record split mid-header and mid-body by a receive timeout: the next
+  // read_record() resumes it instead of parsing payload as a record mark.
+  const std::vector<std::uint8_t> msg(100, 0x11);
+  std::vector<std::uint8_t> wire;
+  append_record_marked(wire, msg);
+  append_record_marked(wire, std::vector<std::uint8_t>{7, 8, 9});
+  for (const std::size_t read_ahead :
+       {std::size_t{0}, RecordReader::kPipelinedReadAhead}) {
+    for (const std::size_t split : {std::size_t{2}, std::size_t{54}}) {
+      SCOPED_TRACE("read_ahead " + std::to_string(read_ahead) + ", split " +
+                   std::to_string(split));
+      auto [a, b] = make_pipe_pair();
+      ASSERT_TRUE(b->set_recv_timeout(std::chrono::milliseconds(1)));
+      RecordReader reader(*b, /*max_record=*/1 << 16, read_ahead);
+      std::vector<std::uint8_t> out;
+      a->send(std::span(wire).first(split));
+      EXPECT_THROW((void)reader.read_record(out), TransportTimeout);
+      EXPECT_FALSE(reader.has_record());
+      a->send(std::span(wire).subspan(split));
+      ASSERT_TRUE(reader.read_record(out));
+      EXPECT_EQ(out, msg);
+      ASSERT_TRUE(reader.read_record(out));
+      EXPECT_EQ(out, (std::vector<std::uint8_t>{7, 8, 9}));
+      EXPECT_THROW((void)reader.read_record(out), TransportTimeout);
+    }
+  }
 }
 
 // The paper (§2) singles out fragmented-message support as the reason the

@@ -83,8 +83,7 @@ TEST(CallBatcherTest, FlushesWhenRecordCountFills) {
   CallBatcher batcher(wire,
                       CallBatcher::Options{.enabled = true,
                                            .max_bytes = 1 << 20,
-                                           .max_calls = 2,
-                                           .deadline = 0us});
+                                           .max_calls = 2});
   batcher.append(record_of(40));
   EXPECT_EQ(wire.sends(), 0u);  // below both thresholds: buffered
   batcher.append(record_of(40));
@@ -101,8 +100,7 @@ TEST(CallBatcherTest, FlushesWhenByteThresholdFills) {
   CallBatcher batcher(wire,
                       CallBatcher::Options{.enabled = true,
                                            .max_bytes = 64,
-                                           .max_calls = 1000,
-                                           .deadline = 0us});
+                                           .max_calls = 1000});
   batcher.append(record_of(40));  // 44 wire bytes: buffered
   EXPECT_EQ(wire.sends(), 0u);
   batcher.append(record_of(40));  // 88 wire bytes: over the cap
@@ -110,29 +108,12 @@ TEST(CallBatcherTest, FlushesWhenByteThresholdFills) {
   EXPECT_EQ(batcher.stats().flush_full, 1u);
 }
 
-TEST(CallBatcherTest, FlushesOnDeadlineWithoutHelp) {
-  RecordingTransport wire;
-  CallBatcher batcher(wire,
-                      CallBatcher::Options{.enabled = true,
-                                           .max_bytes = 1 << 20,
-                                           .max_calls = 1000,
-                                           .deadline = 2ms});
-  batcher.append(record_of(40));
-  const auto give_up = std::chrono::steady_clock::now() + 5s;
-  while (wire.sends() == 0 && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_EQ(wire.sends(), 1u);
-  EXPECT_EQ(batcher.stats().flush_deadline, 1u);
-}
-
 TEST(CallBatcherTest, ExplicitFlushDrainsTheBuffer) {
   RecordingTransport wire;
   CallBatcher batcher(wire,
                       CallBatcher::Options{.enabled = true,
                                            .max_bytes = 1 << 20,
-                                           .max_calls = 1000,
-                                           .deadline = 0us});
+                                           .max_calls = 1000});
   batcher.append(record_of(40));
   batcher.append(record_of(40));
   EXPECT_EQ(wire.sends(), 0u);
@@ -349,8 +330,7 @@ TEST(AsyncRpcChannelTest, BatchedPipelineMatchesExpectedResults) {
       rpc::ServeOptions{.workers = 2},
       ClientOptions{.max_outstanding = 64,
                      .batch = CallBatcher::Options{.enabled = true,
-                                                   .max_calls = 8,
-                                                   .deadline = 500us}});
+                                                   .max_calls = 8}});
   std::vector<TypedFuture<std::uint32_t>> futures;
   for (std::uint32_t i = 0; i < 200; ++i) {
     futures.push_back(

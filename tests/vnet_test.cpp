@@ -168,14 +168,14 @@ TEST(Virtqueue, OutChainGatherMatches) {
   ASSERT_TRUE(head.has_value());
   vq.kick(*head);
 
-  auto chain = vq.pop_avail(false);
+  auto chain = vq.pop_avail();
   ASSERT_TRUE(chain.has_value());
   EXPECT_EQ(chain->descs.size(), 2u);
   EXPECT_EQ(chain->readable_len(), 7u);
   const auto gathered = vq.gather(*chain);
   EXPECT_EQ(gathered, (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7}));
   vq.push_used(chain->head, 0);
-  const auto used = vq.take_used(false);
+  const auto used = vq.take_used();
   ASSERT_TRUE(used.has_value());
   vq.recycle(used->first);
 }
@@ -192,26 +192,26 @@ TEST(Virtqueue, InPlaceBuffersShareGuestMemory) {
   ASSERT_TRUE(tx.has_value());
   std::copy(msg.begin(), msg.end(), tx->second.begin());
   vq.kick(tx->first);
-  auto chain = vq.pop_avail(false);
+  auto chain = vq.pop_avail();
   ASSERT_TRUE(chain.has_value());
   EXPECT_EQ(vq.gather(*chain), msg);
   const auto seen = vq.view_readable(*chain);
   EXPECT_EQ(std::vector<std::uint8_t>(seen.begin(), seen.end()), msg);
   vq.push_used(chain->head, 0);
-  vq.recycle(vq.take_used(false).value().first);
+  vq.recycle(vq.take_used().value().first);
 
   // Device fills a posted buffer in place; the driver views it.
   const std::uint32_t lens[2] = {4, 8};
   const auto head = vq.add_chain({}, lens);
   ASSERT_TRUE(head.has_value());
   vq.kick(*head);
-  chain = vq.pop_avail(false);
+  chain = vq.pop_avail();
   ASSERT_TRUE(chain.has_value());
   const auto buffer = vq.view_writable(*chain);
   ASSERT_EQ(buffer.size(), 4u);
   std::copy_n(msg.begin(), 4, buffer.begin());
   vq.push_used(chain->head, 4);
-  const auto used = vq.take_used(false);
+  const auto used = vq.take_used();
   ASSERT_TRUE(used.has_value());
   const auto back = vq.view_in_buffer(used->first, used->second);
   EXPECT_EQ(std::vector<std::uint8_t>(back.begin(), back.end()),
@@ -229,14 +229,14 @@ TEST(Virtqueue, InChainScatterAndReadBack) {
   ASSERT_TRUE(head.has_value());
   vq.kick(*head);
 
-  auto chain = vq.pop_avail(false);
+  auto chain = vq.pop_avail();
   ASSERT_TRUE(chain.has_value());
   EXPECT_EQ(chain->writable_len(), 12u);
   std::vector<std::uint8_t> data = {9, 8, 7, 6, 5, 4};
   EXPECT_EQ(vq.scatter(*chain, data), 6u);
   vq.push_used(chain->head, 6);
 
-  const auto used = vq.take_used(false);
+  const auto used = vq.take_used();
   ASSERT_TRUE(used.has_value());
   EXPECT_EQ(vq.read_in_buffers(used->first, used->second), data);
 }
@@ -248,7 +248,7 @@ TEST(Virtqueue, ScatterTruncatesWhenChainTooSmall) {
   const auto head = vq.add_chain({}, lens);
   ASSERT_TRUE(head.has_value());
   vq.kick(*head);
-  auto chain = vq.pop_avail(false);
+  auto chain = vq.pop_avail();
   ASSERT_TRUE(chain.has_value());
   const std::vector<std::uint8_t> data(10, 1);
   EXPECT_EQ(vq.scatter(*chain, data), 4u);
@@ -271,16 +271,29 @@ TEST(Virtqueue, ExhaustionReturnsNullopt) {
   EXPECT_TRUE(vq.add_chain(bufs, {}).has_value());
 }
 
+/// The device side's wait for a kick. The ring has no blocking waits, so a
+/// second thread polls it.
+VirtqChain poll_avail(Virtqueue& vq) {
+  for (;;) {
+    if (auto chain = vq.pop_avail()) return std::move(*chain);
+    std::this_thread::yield();
+  }
+}
+
+/// The driver side's wait for a completion, by polling.
+std::pair<std::uint16_t, std::uint32_t> poll_used(Virtqueue& vq) {
+  for (;;) {
+    if (const auto used = vq.take_used()) return *used;
+    std::this_thread::yield();
+  }
+}
+
 TEST(Virtqueue, CrossThreadProducerConsumer) {
   GuestMemory mem(1 << 20);
   Virtqueue vq(mem, 256);
   constexpr int kMsgs = 2000;
   std::thread device([&] {
-    for (int i = 0; i < kMsgs; ++i) {
-      auto chain = vq.pop_avail(true);
-      ASSERT_TRUE(chain.has_value());
-      vq.push_used(chain->head, 0);
-    }
+    for (int i = 0; i < kMsgs; ++i) vq.push_used(poll_avail(vq).head, 0);
   });
   int sent = 0;
   std::vector<std::uint8_t> payload(64, 0xAA);
@@ -289,10 +302,8 @@ TEST(Virtqueue, CrossThreadProducerConsumer) {
   while (sent < kMsgs) {
     auto head = vq.add_chain(bufs, {});
     if (!head) {
-      // Ring full: block for exactly one completion, then retry.
-      auto used = vq.take_used(true);
-      ASSERT_TRUE(used.has_value());
-      vq.recycle(used->first);
+      // Ring full: wait for exactly one completion, then retry.
+      vq.recycle(poll_used(vq).first);
       --outstanding;
       continue;
     }
@@ -300,15 +311,13 @@ TEST(Virtqueue, CrossThreadProducerConsumer) {
     ++sent;
     ++outstanding;
     // Opportunistically recycle finished chains without blocking.
-    while (auto used = vq.take_used(false)) {
+    while (auto used = vq.take_used()) {
       vq.recycle(used->first);
       --outstanding;
     }
   }
   while (outstanding > 0) {
-    auto used = vq.take_used(true);
-    ASSERT_TRUE(used.has_value());
-    vq.recycle(used->first);
+    vq.recycle(poll_used(vq).first);
     --outstanding;
   }
   device.join();
@@ -921,14 +930,13 @@ TEST_P(VirtqueueStressProperty, RandomChainsSurviveThreads) {
 
   std::thread device([&] {
     for (int i = 0; i < kChains; ++i) {
-      auto chain = vq.pop_avail(true);
-      ASSERT_TRUE(chain.has_value());
-      const auto data = vq.gather(*chain);
+      const auto chain = poll_avail(vq);
+      const auto data = vq.gather(chain);
       std::uint64_t sum = 0;
       for (auto b : data) sum += b;
       received_bytes += data.size();
       received_sum += sum;
-      vq.push_used(chain->head, 0);
+      vq.push_used(chain.head, 0);
     }
   });
 
@@ -949,22 +957,18 @@ TEST_P(VirtqueueStressProperty, RandomChainsSurviveThreads) {
     }
     std::optional<std::uint16_t> head;
     while (!(head = vq.add_chain(spans, {}))) {
-      auto used = vq.take_used(true);
-      ASSERT_TRUE(used.has_value());
-      vq.recycle(used->first);
+      vq.recycle(poll_used(vq).first);
       --outstanding;
     }
     vq.kick(*head);
     ++outstanding;
-    while (auto used = vq.take_used(false)) {
+    while (auto used = vq.take_used()) {
       vq.recycle(used->first);
       --outstanding;
     }
   }
   while (outstanding > 0) {
-    auto used = vq.take_used(true);
-    ASSERT_TRUE(used.has_value());
-    vq.recycle(used->first);
+    vq.recycle(poll_used(vq).first);
     --outstanding;
   }
   device.join();

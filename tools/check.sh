@@ -35,7 +35,7 @@
 #                    checked where races are fatal
 #  15. migrate       live-migration suites (`ctest -L migrate`) against the
 #                    TSan build — drain/transfer/flip run coordinator,
-#                    serve, retry, and traffic threads concurrently, so the
+#                    serve, reader, and traffic threads concurrently, so the
 #                    exactly-once machinery is exercised where races are
 #                    fatal
 #  16. taint-audit   wiretaint discipline: the taint suites (`ctest -L
@@ -330,7 +330,7 @@ fi
 # ---------------------------------------------------------------- 15: migrate
 # Live-migration suites under ThreadSanitizer: the drain barrier, chunked
 # transfer, redirect flip, and DRC hand-off all run with coordinator,
-# serve, and client retry threads racing — the label selects them on the
+# serve, and client reader threads racing — the label selects them on the
 # TSan tree.
 if should_continue; then
   if [[ -d build-tsan ]]; then
@@ -383,7 +383,7 @@ fi
 # Content-addressed module cache suites under ThreadSanitizer: concurrent
 # sessions race acquire/insert/release against eviction and teardown, and
 # the two-phase load negotiation (including drop-fault fallback) runs
-# client, serve, and retry threads concurrently — the label selects them on
+# client, serve, and reader threads concurrently — the label selects them on
 # the TSan tree.
 if should_continue; then
   if [[ -d build-tsan ]]; then

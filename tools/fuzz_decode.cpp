@@ -11,6 +11,12 @@
 // Anything else — bad_alloc from a hostile count, a crash, a leak (under
 // ASan/LSan), an unexpected exception type — is a failure.
 //
+// The record-marking layer reads each mutated buffer as a byte stream
+// twice: straight through, and as a slow link whose recvs return seeded
+// short reads and throw seeded TransportTimeouts. Both must take the same
+// records, so a reader that drops a partly read record on a timeout fails
+// the run.
+//
 // Deterministic by construction (sim::Xoshiro256ss, fixed default seed) so
 // a failing iteration is reproducible with --seed/--iters; wired into
 // tools/check.sh stage 9 (fuzz-smoke) against the ASan+UBSan build.
@@ -122,20 +128,6 @@ void expect_clean(Fn&& fn) {
   // propagates out: those are exactly the bugs this harness exists to find.
 }
 
-/// Record-marking layer invocation. Here TransportError joins the clean
-/// typed outcomes: it is what the reader raises both for a hostile fragment
-/// length (the max-record cap) and for truncation mid-record, and a mutated
-/// stream produces both constantly.
-template <typename Fn>
-void expect_clean_stream(Fn&& fn) {
-  try {
-    fn();
-    ++g_stats.parsed;
-  } catch (const cricket::rpc::TransportError&) {
-    ++g_stats.record_errors;
-  }
-}
-
 /// Persistence-blob decoder invocation. The checkpoint and migration-image
 /// codecs wrap every malformed-input failure (including XdrError from the
 /// body decode) in their own typed errors, so only those — plus success —
@@ -173,15 +165,25 @@ void expect_clean_module(Fn&& fn) {
 }
 
 /// Replays one fuzzed buffer as an inbound byte stream: recv drains the
-/// buffer, then reports orderly EOF. The record readers never send.
+/// buffer, then reports orderly EOF. The record readers never send. A
+/// nonzero `interrupt_seed` makes it a slow link under a receive timeout:
+/// seeded short reads, and a seeded quarter of the recvs throw
+/// TransportTimeout having read nothing.
 class SpanTransport final : public cricket::rpc::Transport {
  public:
-  explicit SpanTransport(std::span<const std::uint8_t> data) : data_(data) {}
+  explicit SpanTransport(std::span<const std::uint8_t> data,
+                         std::uint64_t interrupt_seed = 0)
+      : data_(data), rng_(interrupt_seed), interrupt_(interrupt_seed != 0) {}
 
   void send(std::span<const std::uint8_t>) override {}
   std::size_t recv(std::span<std::uint8_t> out) override {
     ++recvs_;
-    const std::size_t n = std::min(out.size(), data_.size());
+    std::size_t n = std::min(out.size(), data_.size());
+    if (interrupt_) {
+      if (rng_.next() % 4 == 0)
+        throw cricket::rpc::TransportTimeout("fuzz_decode: injected timeout");
+      if (n > 0) n = 1 + rng_.next() % n;
+    }
     if (n > 0) std::memcpy(out.data(), data_.data(), n);
     data_ = data_.subspan(n);
     return n;
@@ -191,8 +193,55 @@ class SpanTransport final : public cricket::rpc::Transport {
 
  private:
   std::span<const std::uint8_t> data_;
+  Xoshiro256ss rng_;
+  bool interrupt_;
   std::size_t recvs_ = 0;
 };
+
+/// The records a RecordReader takes from `buf` up to EOF, and whether it
+/// ended on a TransportError (hostile length, truncation) instead.
+struct StreamRead {
+  std::vector<std::vector<std::uint8_t>> records;
+  bool failed = false;
+
+  bool operator==(const StreamRead&) const = default;
+};
+
+/// Reassembles records to EOF, asking has_record() — which walks the
+/// buffered, untrusted fragment lengths — between reads, as the pipelined
+/// serve loop does. Every injected timeout is retried, as the client's
+/// reader retries one.
+StreamRead read_stream(std::span<const std::uint8_t> buf,
+                       std::size_t read_ahead, std::uint64_t interrupt_seed) {
+  SpanTransport t(buf, interrupt_seed);
+  // The small explicit cap keeps mutated length fields from turning into
+  // large throwaway allocations each iteration; rejection of a hostile
+  // length against the DEFAULT cap is pinned deterministically in main().
+  cricket::rpc::RecordReader reader(t, /*max_record=*/std::size_t{1} << 16,
+                                    read_ahead);
+  StreamRead result;
+  std::vector<std::uint8_t> record;
+  try {
+    for (;;) {
+      // A whole buffered record must come back without another recv.
+      const bool whole = reader.has_record();
+      const std::size_t recvs = t.recvs();
+      bool got = false;
+      try {
+        got = reader.read_record(record);
+      } catch (const cricket::rpc::TransportTimeout&) {
+        continue;
+      }
+      if (whole && (read_ahead == 0 || !got || t.recvs() != recvs))
+        throw std::logic_error("has_record() claimed a record it lacked");
+      if (!got) break;
+      result.records.push_back(record);
+    }
+  } catch (const cricket::rpc::TransportError&) {
+    result.failed = true;
+  }
+  return result;
+}
 
 // ----------------------------- seed corpus ------------------------------
 
@@ -707,7 +756,7 @@ void consume_blob(const cricket::rpc::ServiceRegistry& registry,
 }
 
 void consume(const cricket::rpc::ServiceRegistry& registry,
-             std::span<const std::uint8_t> buf) {
+             std::span<const std::uint8_t> buf, std::uint64_t interrupt_seed) {
   namespace proto = cricket::proto;
   using namespace cricket::rpc;
 
@@ -745,28 +794,18 @@ void consume(const cricket::rpc::ServiceRegistry& registry,
     xdr_decode(dec, v);
     dec.expect_exhausted();
   });
-  // Record-marking layer: replay the buffer as an inbound byte stream and
-  // reassemble records to EOF with exact reads and with read-ahead, asking
-  // has_record() — which walks the buffered, untrusted fragment lengths —
-  // between reads, as the pipelined serve loop does. The small explicit cap
-  // keeps mutated length fields from turning into large throwaway
-  // allocations each iteration; rejection of a hostile length against the
-  // DEFAULT cap is pinned deterministically in main().
+  // Record-marking layer: replay the buffer as an inbound byte stream with
+  // exact reads and with read-ahead. A read interrupted by timeouts must
+  // take exactly the records an uninterrupted one does.
   for (const std::size_t read_ahead : {std::size_t{0}, std::size_t{64}}) {
-    expect_clean_stream([&] {
-      SpanTransport t(buf);
-      RecordReader reader(t, /*max_record=*/std::size_t{1} << 16, read_ahead);
-      std::vector<std::uint8_t> record;
-      for (;;) {
-        // A whole buffered record must come back without another recv.
-        const bool whole = reader.has_record();
-        const std::size_t recvs = t.recvs();
-        const bool got = reader.read_record(record);
-        if (whole && (read_ahead == 0 || !got || t.recvs() != recvs))
-          throw std::logic_error("has_record() claimed a record it lacked");
-        if (!got) break;
-      }
-    });
+    const StreamRead clean = read_stream(buf, read_ahead, 0);
+    if (clean.failed) {
+      ++g_stats.record_errors;
+    } else {
+      ++g_stats.parsed;
+    }
+    if (read_stream(buf, read_ahead, interrupt_seed) != clean)
+      throw std::logic_error("a receive timeout changed the records read");
   }
 
   expect_clean([&] {
@@ -1086,7 +1125,7 @@ int main(int argc, char** argv) {
       if (blob_stage) {
         consume_blob(mig_registry, buf);
       } else {
-        consume(registry, buf);
+        consume(registry, buf, (seed ^ (it * 0x9E3779B97F4A7C15ull)) | 1);
       }
     }
   } catch (const std::exception& e) {
