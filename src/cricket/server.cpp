@@ -378,7 +378,8 @@ class CricketSession final : public proto::CRICKETVERSService,
     const std::uint64_t n =
         proto::taint::validate_length(len, "rpc_transfer_begin_h2d.len");
     std::vector<std::uint8_t> buf(n);
-    gather_striped(lanes_, buf);
+    // A client that dropped its lanes mid-stripe left `buf` partly written.
+    if (!gather_striped(lanes_, buf)) return to_wire(Error::kRpcFailure);
     admit_transfer(n);
     const Error err = api_.memcpy_h2d(handle(dst), buf);
     if (err == Error::kSuccess) charge_transfer(n);
@@ -398,7 +399,7 @@ class CricketSession final : public proto::CRICKETVERSService,
     const Error err = api_.memcpy_d2h(buf, handle(src));
     if (err != Error::kSuccess) return to_wire(err);
     charge_transfer(n);
-    scatter_striped(lanes_, buf);
+    if (!scatter_striped(lanes_, buf)) return to_wire(Error::kRpcFailure);
     return to_wire(Error::kSuccess);
   }
 

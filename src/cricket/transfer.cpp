@@ -9,6 +9,29 @@ namespace {
 /// How often a lane waiting in recv_striped looks at its cancel flag.
 constexpr auto kCancelPoll = std::chrono::milliseconds(5);
 
+/// Runs `move(lane, offset, length)` for lane i's part of a `total`-byte
+/// stripe, one thread per lane, and joins them all. Returns false when a
+/// lane threw TransportError (a closed or failed lane); the others still
+/// run to their end.
+template <typename Move>
+bool on_every_lane(TransferLanes& lanes, std::size_t total, Move&& move) {
+  const auto parts = stripe(total, lanes.count());
+  std::atomic<bool> ok{true};
+  std::vector<std::thread> threads;
+  threads.reserve(lanes.count());
+  for (std::size_t i = 0; i < lanes.count(); ++i) {
+    threads.emplace_back([&, i] {
+      try {
+        move(*lanes.lanes[i], parts[i].first, parts[i].second);
+      } catch (const rpc::TransportError&) {
+        ok = false;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  return ok;
+}
+
 }  // namespace
 
 std::pair<TransferLanes, TransferLanes> make_lane_pairs(
@@ -40,7 +63,6 @@ std::vector<std::pair<std::size_t, std::size_t>> stripe(std::size_t total,
 
 bool send_striped(TransferLanes& lanes, std::span<const std::uint8_t> data,
                   const vnet::NetworkProfile& profile, sim::SimClock& clock) {
-  const auto parts = stripe(data.size(), lanes.count());
   // Aggregate charge: lane threads run concurrently on distinct cores, so
   // the CPU cost is the serial cost divided across lanes; the wire is
   // shared, so serialization time is charged once in full.
@@ -48,84 +70,50 @@ bool send_striped(TransferLanes& lanes, std::span<const std::uint8_t> data,
                     static_cast<sim::Nanos>(std::max<std::size_t>(1,
                                                                   lanes.count())) +
                 vnet::wire_time(profile, data.size()));
-
-  std::atomic<bool> ok{true};
-  std::vector<std::thread> threads;
-  threads.reserve(lanes.count());
-  for (std::size_t i = 0; i < lanes.count(); ++i) {
-    const auto [off, len] = parts[i];
-    threads.emplace_back([&, i, off = off, len = len] {
-      try {
-        if (len > 0) lanes.lanes[i]->send(data.subspan(off, len));
-      } catch (const rpc::TransportError&) {
-        ok = false;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  return ok;
+  return on_every_lane(lanes, data.size(), [&](rpc::Transport& lane,
+                                               std::size_t off,
+                                               std::size_t len) {
+    if (len > 0) lane.send(data.subspan(off, len));
+  });
 }
 
 bool recv_striped(TransferLanes& lanes, std::span<std::uint8_t> out,
                   const vnet::NetworkProfile& profile, sim::SimClock& clock,
                   const std::atomic<bool>& cancel) {
-  const auto parts = stripe(out.size(), lanes.count());
   clock.advance(vnet::rx_cpu_cost(profile, out.size()) /
                 static_cast<sim::Nanos>(
                     std::max<std::size_t>(1, lanes.count())));
-
-  std::atomic<bool> ok{true};
-  std::vector<std::thread> threads;
-  threads.reserve(lanes.count());
-  for (std::size_t i = 0; i < lanes.count(); ++i) {
-    const auto [off, len] = parts[i];
-    threads.emplace_back([&, i, off = off, len = len] {
-      rpc::Transport& lane = *lanes.lanes[i];
-      (void)lane.set_recv_timeout(kCancelPoll);
+  return on_every_lane(lanes, out.size(), [&](rpc::Transport& lane,
+                                              std::size_t off,
+                                              std::size_t len) {
+    (void)lane.set_recv_timeout(kCancelPoll);
+    for (std::size_t got = 0; got < len;) {
       try {
-        for (std::size_t got = 0; got < len;) {
-          try {
-            const std::size_t n = lane.recv(out.subspan(off + got, len - got));
-            if (n == 0) throw rpc::TransportError("lane closed mid-stripe");
-            got += n;
-          } catch (const rpc::TransportTimeout&) {
-            if (cancel) throw;
-          }
-        }
-      } catch (const rpc::TransportError&) {
-        ok = false;
+        const std::size_t n = lane.recv(out.subspan(off + got, len - got));
+        if (n == 0) throw rpc::TransportError("lane closed mid-stripe");
+        got += n;
+      } catch (const rpc::TransportTimeout&) {
+        if (cancel) throw;
       }
-    });
-  }
-  for (auto& t : threads) t.join();
-  return ok;
+    }
+  });
 }
 
-void gather_striped(TransferLanes& lanes, std::span<std::uint8_t> out) {
-  const auto parts = stripe(out.size(), lanes.count());
-  std::vector<std::thread> threads;
-  threads.reserve(lanes.count());
-  for (std::size_t i = 0; i < lanes.count(); ++i) {
-    const auto [off, len] = parts[i];
-    threads.emplace_back([&, i, off = off, len = len] {
-      if (len > 0) lanes.lanes[i]->recv_exact(out.subspan(off, len));
-    });
-  }
-  for (auto& t : threads) t.join();
+bool gather_striped(TransferLanes& lanes, std::span<std::uint8_t> out) {
+  return on_every_lane(lanes, out.size(), [&](rpc::Transport& lane,
+                                              std::size_t off,
+                                              std::size_t len) {
+    if (len > 0) lane.recv_exact(out.subspan(off, len));
+  });
 }
 
-void scatter_striped(TransferLanes& lanes,
+bool scatter_striped(TransferLanes& lanes,
                      std::span<const std::uint8_t> data) {
-  const auto parts = stripe(data.size(), lanes.count());
-  std::vector<std::thread> threads;
-  threads.reserve(lanes.count());
-  for (std::size_t i = 0; i < lanes.count(); ++i) {
-    const auto [off, len] = parts[i];
-    threads.emplace_back([&, i, off = off, len = len] {
-      if (len > 0) lanes.lanes[i]->send(data.subspan(off, len));
-    });
-  }
-  for (auto& t : threads) t.join();
+  return on_every_lane(lanes, data.size(), [&](rpc::Transport& lane,
+                                               std::size_t off,
+                                               std::size_t len) {
+    if (len > 0) lane.send(data.subspan(off, len));
+  });
 }
 
 }  // namespace cricket::core

@@ -66,11 +66,14 @@ bool recv_striped(TransferLanes& lanes, std::span<std::uint8_t> out,
                   const std::atomic<bool>& cancel);
 
 /// Server side: gathers a striped payload (no cost charging — the server's
-/// native stack cost is folded into the client-side aggregate).
-void gather_striped(TransferLanes& lanes, std::span<std::uint8_t> out);
+/// native stack cost is folded into the client-side aggregate). Returns
+/// false when a lane failed (e.g. the client closed it mid-stripe); `out`
+/// is then only partly written.
+bool gather_striped(TransferLanes& lanes, std::span<std::uint8_t> out);
 
-/// Server side: stripes a payload toward the client.
-void scatter_striped(TransferLanes& lanes,
+/// Server side: stripes a payload toward the client. Returns false when a
+/// lane failed.
+bool scatter_striped(TransferLanes& lanes,
                      std::span<const std::uint8_t> data);
 
 }  // namespace cricket::core

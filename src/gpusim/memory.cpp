@@ -1,12 +1,52 @@
 #include "gpusim/memory.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
+#include <system_error>
+
+#include <sanitizer/asan_interface.h>  // its macros are no-ops without ASan
 
 namespace cricket::gpusim {
 
+namespace {
+
+std::uint64_t page_size() noexcept {
+  static const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+std::uint8_t* map_arena(std::size_t len) {
+  void* p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED)
+    throw std::system_error(errno, std::generic_category(),
+                            "mmap of the device memory arena");
+  return static_cast<std::uint8_t*>(p);
+}
+
+}  // namespace
+
 MemoryManager::MemoryManager(std::uint64_t capacity, DevPtr base)
-    : capacity_(capacity), base_(base) {
+    : capacity_(capacity),
+      base_(base),
+      arena_len_((std::max<std::uint64_t>(capacity, 1) + page_size() - 1) /
+                 page_size() * page_size()),
+      arena_(map_arena(arena_len_)) {
   free_.emplace(base_, capacity_);
+}
+
+MemoryManager::~MemoryManager() { ::munmap(arena_, arena_len_); }
+
+void MemoryManager::commit(DevPtr addr, std::uint64_t size,
+                           std::uint64_t padded) {
+  allocs_.emplace(addr, Allocation{size, padded});
+  in_use_ += padded;
+  ASAN_UNPOISON_MEMORY_REGION(host(addr), size);
+  ASAN_POISON_MEMORY_REGION(host(addr) + size, padded - size);
 }
 
 DevPtr MemoryManager::allocate(std::uint64_t size) {
@@ -23,12 +63,7 @@ DevPtr MemoryManager::allocate(std::uint64_t size) {
     const std::uint64_t hole = it->second;
     free_.erase(it);
     if (hole > padded) free_.emplace(addr + padded, hole - padded);
-    Allocation a;
-    a.size = size;
-    a.padded_size = padded;
-    a.storage.assign(size, 0);
-    allocs_.emplace(addr, std::move(a));
-    in_use_ += padded;
+    commit(addr, size, padded);
     return addr;
   }
   throw OutOfMemory("device out of memory");
@@ -56,12 +91,7 @@ void MemoryManager::allocate_at(DevPtr ptr, std::uint64_t size) {
   if (ptr > hole_start) free_.emplace(hole_start, ptr - hole_start);
   const std::uint64_t tail = hole_start + hole_len - (ptr + padded);
   if (tail > 0) free_.emplace(ptr + padded, tail);
-  Allocation a;
-  a.size = size;
-  a.padded_size = padded;
-  a.storage.assign(size, 0);
-  allocs_.emplace(ptr, std::move(a));
-  in_use_ += padded;
+  commit(ptr, size, padded);
 }
 
 bool MemoryManager::can_allocate_at(DevPtr ptr, std::uint64_t size) const
@@ -99,6 +129,23 @@ void MemoryManager::free(DevPtr ptr) {
   in_use_ -= len;
   allocs_.erase(it);
 
+  // Restore the zero invariant before the range rejoins a hole: hand whole
+  // pages back to the kernel (they read as zeros again) and clear only the
+  // partial pages at either end, whose other bytes may belong to a live
+  // neighbour. Offsets are arena-relative; the arena is page-aligned.
+  const std::uint64_t page = page_size();
+  const std::uint64_t lo = start - base_;
+  const std::uint64_t hi = lo + len;
+  const std::uint64_t first = std::min((lo + page - 1) / page * page, hi);
+  const std::uint64_t last = std::max(first, hi / page * page);
+  ASAN_UNPOISON_MEMORY_REGION(arena_ + lo, len);  // the pad tail, for memset
+  std::memset(arena_ + lo, 0, first - lo);
+  if (last > first &&
+      ::madvise(arena_ + first, last - first, MADV_DONTNEED) != 0)
+    std::memset(arena_ + first, 0, last - first);  // e.g. mlock'ed pages
+  std::memset(arena_ + last, 0, hi - last);
+  ASAN_POISON_MEMORY_REGION(arena_ + lo, len);
+
   // Coalesce with successor hole.
   const auto next = free_.lower_bound(start);
   if (next != free_.end() && next->first == start + len) {
@@ -130,7 +177,7 @@ std::span<std::uint8_t> MemoryManager::resolve(DevPtr ptr, std::uint64_t len) {
   // far beyond the backing storage.
   if (off > it->second.size || len > it->second.size - off)
     throw MemoryError("device access beyond allocation bounds");
-  return {it->second.storage.data() + off, len};
+  return {host(it->first) + off, len};
 }
 
 std::span<std::uint8_t> MemoryManager::resolve_validated(

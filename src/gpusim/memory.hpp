@@ -6,6 +6,26 @@
 // the absence of use-after-free and double-free errors for the CUDA
 // allocation API") — here they are runtime-checked: freeing twice, or
 // touching memory outside a live allocation, throws.
+//
+// Backing store: one anonymous MAP_NORESERVE mapping of `capacity` bytes
+// (the arena); device address `base + off` is host byte `arena + off`.
+// Like a real cudaMalloc, allocating touches no memory: only pages that are
+// written are ever faulted in.
+//
+// Zero invariant: every byte of every free hole reads as zero. A fresh
+// mapping starts that way and free() restores it — MADV_DONTNEED on the
+// whole pages of the freed range, memset on a partial head or tail page
+// (which a live neighbour may share). So a new allocation reads as zeros
+// without being written.
+//
+// Under AddressSanitizer each allocation's pad tail [size, padded) and
+// every freed range are poisoned, so a stray access past `size` is still
+// caught although allocations no longer are separate heap blocks. The
+// arena is not poisoned up front: that would cost 1/8 of its size in
+// shadow memory.
+//
+// Limit: GCC 12's ThreadSanitizer runtime allows about 86 reservations of
+// 40 GiB per process (about 35 paper-testbed nodes alive at once).
 #pragma once
 
 #include <cstdint>
@@ -38,6 +58,10 @@ class MemoryManager {
   /// `capacity` is the device memory size; addresses start at `base`.
   explicit MemoryManager(std::uint64_t capacity,
                          DevPtr base = 0x0007'0000'0000'0000ULL);
+  ~MemoryManager();
+
+  MemoryManager(const MemoryManager&) = delete;
+  MemoryManager& operator=(const MemoryManager&) = delete;
 
   /// Allocates `size` bytes (rounded up to 256-byte granularity, like the
   /// CUDA allocator). Throws OutOfMemory when it does not fit.
@@ -104,8 +128,16 @@ class MemoryManager {
   struct Allocation {
     std::uint64_t size;          // requested size
     std::uint64_t padded_size;   // rounded to granularity
-    std::vector<std::uint8_t> storage;
   };
+
+  [[nodiscard]] std::uint8_t* host(DevPtr addr) const noexcept {
+    return arena_ + (addr - base_);
+  }
+  /// Bookkeeping shared by allocate and allocate_at once `addr` is carved
+  /// out of a hole: record it, unpoison [addr, addr + size) and poison the
+  /// pad tail (ASan builds only).
+  void commit(DevPtr addr, std::uint64_t size, std::uint64_t padded)
+      CRICKET_REQUIRES(mu_);
 
   // Both maps are keyed by device address. free_ maps start -> length of a
   // free hole; coalescing happens on free().
@@ -115,6 +147,8 @@ class MemoryManager {
   std::uint64_t capacity_;
   std::uint64_t in_use_ CRICKET_GUARDED_BY(mu_) = 0;
   DevPtr base_;
+  std::size_t arena_len_;  // capacity rounded up to whole pages
+  std::uint8_t* arena_;
 };
 
 }  // namespace cricket::gpusim

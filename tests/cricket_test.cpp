@@ -451,6 +451,98 @@ TEST(CricketTransferMethods, ParallelD2hFromInvalidPointerReturns) {
   thread.join();
 }
 
+/// A client transfer lane that is dropped mid-copy: once `budget` bytes
+/// have moved through it, it closes both directions of the pipe beneath it
+/// (as closing a socket would) and fails.
+class DroppingLane final : public rpc::Transport {
+ public:
+  DroppingLane(std::unique_ptr<rpc::Transport> inner, std::size_t budget)
+      : inner_(std::move(inner)), budget_(budget) {}
+
+  void send(std::span<const std::uint8_t> data) override {
+    if (data.size() > budget_) {
+      inner_->send(data.first(budget_));
+      drop();
+    }
+    budget_ -= data.size();
+    inner_->send(data);
+  }
+  std::size_t recv(std::span<std::uint8_t> out) override {
+    if (budget_ == 0) drop();
+    const std::size_t n = inner_->recv(out.first(std::min(out.size(), budget_)));
+    budget_ -= n;
+    return n;
+  }
+  bool set_recv_timeout(std::chrono::nanoseconds timeout) override {
+    return inner_->set_recv_timeout(timeout);
+  }
+  void shutdown() override { inner_->shutdown(); }
+  void shutdown_read() override { inner_->shutdown_read(); }
+
+ private:
+  [[noreturn]] void drop() {
+    inner_->shutdown();
+    inner_->shutdown_read();
+    throw rpc::TransportError("lane dropped mid-copy");
+  }
+
+  std::unique_ptr<rpc::Transport> inner_;
+  std::size_t budget_;
+};
+
+/// A server with lanes whose client ends drop after 100 KiB each.
+struct DroppedLanesFixture {
+  DroppedLanesFixture() {
+    auto [client_end, server_end] = rpc::make_pipe_pair();
+    auto [client_lanes, server_lanes] =
+        make_lane_pairs(2, /*capacity_bytes=*/64 << 10);
+    for (auto& lane : client_lanes.lanes)
+      lane = std::make_unique<DroppingLane>(std::move(lane), 100 << 10);
+    serving = server.serve_async(std::move(server_end), std::move(server_lanes));
+    api = std::make_unique<RemoteCudaApi>(
+        std::move(client_end), node->clock(),
+        ClientConfig{.transfer = TransferMethod::kParallelSockets},
+        std::move(client_lanes));
+  }
+  ~DroppedLanesFixture() {
+    api.reset();  // closes the connection: the serve loop returns
+    serving.join();
+  }
+
+  std::unique_ptr<cuda::GpuNode> node = cuda::GpuNode::make_a100();
+  CricketServer server{*node};
+  std::thread serving;
+  std::unique_ptr<RemoteCudaApi> api;
+};
+
+TEST(CricketTransferMethods, LanesDroppedMidH2dFailTheCallNotTheServer) {
+  DroppedLanesFixture f;
+  std::vector<std::uint8_t> data(1 << 20, 0x5A);
+  cuda::DevPtr p = 0;
+  ASSERT_EQ(f.api->malloc(p, data.size()), Error::kSuccess);
+  testutil::within(std::chrono::seconds(20), [&] {
+    EXPECT_EQ(f.api->memcpy_h2d(p, data), Error::kRpcFailure);
+  });
+  // The partly gathered stripe never reached device memory, and the
+  // connection still serves calls.
+  std::vector<std::uint8_t> out(data.size(), 0xFF);
+  f.node->device(0).memcpy_d2h(out, p);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(data.size(), 0));
+  EXPECT_EQ(f.api->free(p), Error::kSuccess);
+}
+
+TEST(CricketTransferMethods, LanesDroppedMidD2hFailTheCallNotTheServer) {
+  DroppedLanesFixture f;
+  std::vector<std::uint8_t> out(1 << 20);
+  cuda::DevPtr p = 0;
+  ASSERT_EQ(f.api->malloc(p, out.size()), Error::kSuccess);
+  ASSERT_EQ(f.api->memset(p, 0x5A, out.size()), Error::kSuccess);
+  testutil::within(std::chrono::seconds(20), [&] {
+    EXPECT_EQ(f.api->memcpy_d2h(out, p), Error::kRpcFailure);
+  });
+  EXPECT_EQ(f.api->free(p), Error::kSuccess);
+}
+
 TEST(CricketTransferMethods, ParallelCopyOnDeadConnectionFailsCleanly) {
   // The begin call throws (the server end is gone) while the lane thread is
   // blocked on lanes nobody drains: the copy must fail, not abort.

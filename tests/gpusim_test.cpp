@@ -2,8 +2,14 @@
 
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <numeric>
+#include <string>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "fatbin/cubin.hpp"
 #include "gpusim/device.hpp"
@@ -168,6 +174,82 @@ TEST(MemoryManager, MemsetWritesPattern) {
   mm.memset(p, 0x7F, 64);
   for (auto byte : mm.resolve(p, 64)) EXPECT_EQ(byte, 0x7F);
   mm.free(p);
+}
+
+// ------------------------------ zero invariant ------------------------------
+// Device memory is one lazily mapped arena whose free holes always read as
+// zero: free() clears what the allocation wrote, allocate() writes nothing.
+
+TEST(MemoryManager, FreedRangeBetweenLiveNeighboursReadsZerosAgain) {
+  MemoryManager mm(1 << 20);
+  // `mid` starts and ends inside pages it shares with `left` and `right`,
+  // and covers whole pages in between: free() takes both the memset and
+  // the page-release route.
+  constexpr std::uint64_t kMid = 3 * 4096 + 512;
+  const DevPtr left = mm.allocate(1000);
+  const DevPtr mid = mm.allocate(kMid);
+  const DevPtr right = mm.allocate(1000);
+  mm.memset(left, 0xAA, 1000);
+  mm.memset(mid, 0xFF, kMid);
+  mm.memset(right, 0xCC, 1000);
+  mm.free(mid);
+  const DevPtr again = mm.allocate(kMid);
+  ASSERT_EQ(again, mid);  // first fit: the hole between the neighbours
+  for (auto byte : mm.resolve(again, kMid)) ASSERT_EQ(byte, 0);
+  for (auto byte : mm.resolve(left, 1000)) ASSERT_EQ(byte, 0xAA);
+  for (auto byte : mm.resolve(right, 1000)) ASSERT_EQ(byte, 0xCC);
+}
+
+TEST(MemoryManager, AllocateAtIntoWrittenHoleReadsZeros) {
+  MemoryManager mm(1 << 20);
+  const DevPtr p = mm.allocate(64 << 10);
+  mm.memset(p, 0xFF, 64 << 10);
+  mm.free(p);
+  const DevPtr q = p + 4 * MemoryManager::kGranularity;
+  mm.allocate_at(q, 20000);
+  for (auto byte : mm.resolve(q, 20000)) ASSERT_EQ(byte, 0);
+}
+
+/// Resident set size of this process in bytes (VmRSS).
+std::uint64_t resident_bytes() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoull(line.substr(6)) << 10;
+  return 0;
+}
+
+TEST(MemoryManager, UnwrittenAllocationTakesNoResidentMemory) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan writes 1/8 of every poisoned range as shadow memory";
+#endif
+  MemoryManager mm(a100_props().mem_bytes);
+  const std::uint64_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  const DevPtr p = mm.allocate(1ull << 30);
+  const std::uint64_t allocated = resident_bytes();
+  mm.free(p);
+  EXPECT_LT(allocated - before, 16ull << 20);
+  EXPECT_LT(resident_bytes() - before, 16ull << 20);
+}
+
+TEST(MemoryManager, PadTailAndFreedRangeArePoisonedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  MemoryManager mm(1 << 20);
+  const DevPtr p = mm.allocate(100);
+  const std::uint8_t* const bytes = mm.resolve(p, 100).data();
+  EXPECT_FALSE(__asan_address_is_poisoned(bytes + 99));
+  EXPECT_TRUE(__asan_address_is_poisoned(bytes + 100));  // pad tail
+  EXPECT_TRUE(
+      __asan_address_is_poisoned(bytes + MemoryManager::kGranularity - 1));
+  mm.free(p);
+  EXPECT_TRUE(__asan_address_is_poisoned(bytes));  // freed range
+  // Allocating the range again makes it addressable again.
+  ASSERT_EQ(mm.allocate(256), p);
+  EXPECT_FALSE(__asan_address_is_poisoned(bytes));
+  EXPECT_FALSE(__asan_address_is_poisoned(bytes + 255));
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 // ------------------------------- wiretaint ---------------------------------
@@ -491,6 +573,41 @@ TEST_F(DeviceFixture, RestoreMergeRefusesWrappingPlacementUntouched) {
   EXPECT_EQ(device.memory().bytes_in_use(), used);
   EXPECT_EQ(device.memory().allocation_count(), 1u);
   device.free(live);
+}
+
+TEST_F(DeviceFixture, SnapshotRestoreRoundTripsByteIdentically) {
+  const ModuleId mod =
+      device.load_module(fatbin::cubin_serialize(device_test_image()));
+  (void)device.get_function(mod, "saxpy");
+  const DevPtr written = device.malloc(3 * 4096 + 100);
+  const DevPtr untouched = device.malloc(1 << 20);
+  const DevPtr freed = device.malloc(8192);
+  std::vector<std::uint8_t> pattern(3 * 4096 + 100);
+  std::iota(pattern.begin(), pattern.end(), std::uint8_t{7});
+  device.memcpy_h2d(written, pattern);
+  device.memset(freed, 0xEE, 8192);
+  device.free(freed);
+  (void)untouched;
+
+  const DeviceSnapshot snap = device.snapshot();
+  sim::SimClock clock2;
+  Device copy(a100_props(), clock2, registry, pool);
+  copy.restore(snap);
+  const DeviceSnapshot again = copy.snapshot();
+
+  ASSERT_EQ(again.allocations.size(), snap.allocations.size());
+  for (std::size_t i = 0; i < snap.allocations.size(); ++i) {
+    EXPECT_EQ(again.allocations[i].addr, snap.allocations[i].addr);
+    EXPECT_EQ(again.allocations[i].size, snap.allocations[i].size);
+    EXPECT_EQ(again.allocations[i].bytes, snap.allocations[i].bytes);
+  }
+  EXPECT_EQ(again.next_id, snap.next_id);
+  ASSERT_EQ(again.modules.size(), snap.modules.size());
+  EXPECT_EQ(again.modules[0].image, snap.modules[0].image);
+  EXPECT_EQ(again.modules[0].globals, snap.modules[0].globals);
+  std::vector<std::uint8_t> out(pattern.size());
+  copy.memcpy_d2h(out, written);
+  EXPECT_EQ(out, pattern);
 }
 
 TEST_F(DeviceFixture, BiggerKernelsTakeLongerVirtualTime) {
