@@ -17,8 +17,11 @@
 //     the wire (or into the small-call batcher) and return at once; a
 //     failure surfaces at the next synchronization point, exactly as real
 //     CUDA reports asynchronous errors. Calls that return values still block
-//     for their own reply. The server runs each session's calls one at a
+//     for their own reply. Replies are read, and lost calls re-sent, on the
+//     caller's thread whenever it waits: a value-returning call, a full
+//     window, a sync point. The server runs each session's calls one at a
 //     time in order, so results are bit-identical.
+// Either way the RPC connection starts no thread.
 #pragma once
 
 #include <cstdint>

@@ -43,7 +43,6 @@ class FaultyTransport final : public rpc::Transport {
   std::size_t recv(std::span<std::uint8_t> out) override;
   bool set_recv_timeout(std::chrono::nanoseconds timeout) override;
   void shutdown() override CRICKET_EXCLUDES(mu_);
-  void shutdown_read() override { inner_->shutdown_read(); }
 
   [[nodiscard]] FaultStats stats() const CRICKET_EXCLUDES(mu_);
   [[nodiscard]] rpc::Transport& inner() noexcept { return *inner_; }

@@ -29,7 +29,7 @@ class RedirectingConnector {
       : current_(std::move(initial)) {}
 
   /// Atomically flips where subsequent dials land. Safe against concurrent
-  /// dial() calls from client reader threads mid-reconnect.
+  /// dial() calls from clients reconnecting on their callers' threads.
   void set_target(Factory target) CRICKET_EXCLUDES(mu_) {
     sim::MutexLock lock(mu_);
     current_ = std::move(target);

@@ -12,7 +12,7 @@ CallBatcher::~CallBatcher() {
   try {
     flush_locked(/*full=*/false);
   } catch (const TransportError&) {
-    // The client's reader fails the pending futures.
+    // The client fails the pending futures.
   }
 }
 

@@ -5,8 +5,8 @@
 // latency) per call on the synchronous path. The batcher coalesces
 // back-to-back record-marked calls into a single transport send and flushes
 // when the buffer fills (bytes or record count) or when the caller flushes.
-// It owns no thread: RpcClient flushes at its sync points (a blocking call,
-// drain(), a full window) and when a caller blocks on a reply still held.
+// It owns no thread: RpcClient flushes it whenever its caller waits (a
+// blocking call, a future's get(), a full window, drain()).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "rpc/client.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -16,7 +15,7 @@ obs::Counter& counter(const char* name, const char* help) {
   return obs::Registry::global().counter(name, {}, help);
 }
 
-/// Depth 1 reads exactly; the reader thread reads ahead, so one recv
+/// Depth 1 reads exactly; above it the client reads ahead, so one recv
 /// covers many replies.
 std::size_t read_ahead(const ClientOptions& options) {
   return options.max_outstanding > 1 ? RecordReader::kPipelinedReadAhead : 0;
@@ -91,35 +90,26 @@ RpcClient::RpcClient(std::unique_ptr<Transport> transport, std::uint32_t prog,
       vers_(vers),
       options_(std::move(options)),
       next_xid_(options_.initial_xid) {
-  if (options_.max_outstanding <= 1) return;  // depth 1 starts no thread
-  batcher_ = std::make_shared<CallBatcher>(*transport_, options_.batch);
-  reader_thread_ = std::thread([this] {
-    std::vector<std::uint8_t> record;
-    while (step(record)) {
-    }
-  });
+  if (options_.max_outstanding <= 1) return;
+  batcher_ = std::make_unique<CallBatcher>(*transport_, options_.batch);
+  self_ = std::shared_ptr<RpcClient>(this, [](RpcClient*) {});
 }
 
 RpcClient::~RpcClient() {
-  {
-    sim::MutexLock lock(mu_);
-    stopping_ = true;  // a failed connection now closes the client
-  }
-  // Push out anything still buffered, half-close so the server ends the
-  // session, and close the read side so the reader wakes even when the
-  // peer never closes: it fails every call still pending and returns.
+  // Push out anything still buffered and half-close, so the server ends the
+  // session. Nothing reads the replies to calls still pending: fail them.
   try {
     flush();
   } catch (const TransportError&) {
-    // Dead already: the reader fails what is pending.
+    // Dead already.
   }
   try {
-    sim::MutexLock lock(mu_);  // vs. the reader swapping transport_
     transport_->shutdown();
-    if (reader_thread_.joinable()) transport_->shutdown_read();
   } catch (...) {  // destructor must not throw
   }
-  if (reader_thread_.joinable()) reader_thread_.join();
+  sim::MutexLock lock(mu_);
+  fail_all_locked(
+      [] { return TransportError("client destroyed with the call pending"); });
 }
 
 void RpcClient::set_credential(OpaqueAuth cred) {
@@ -137,39 +127,31 @@ ReplyFuture RpcClient::call_raw_async(std::uint32_t proc,
 
   ReplyPromise promise;
   ReplyFuture future(promise.state());
-  // Nothing flushes the batcher in the background, so blocking on a call it
-  // still holds would hang: the hook flags the misuse and flushes.
-  if (batcher_ && options_.batch.enabled) {
-    promise.state()->on_block =
-        [weak = std::weak_ptr<CallBatcher>(batcher_)] {
-          const auto batcher = weak.lock();
-          if (!batcher || batcher->buffered() == 0) return;
-          static obs::Counter& unflushed =
-              counter("cricket_batch_unflushed_waits_total",
-                      "Futures blocked on while calls sat unflushed in the "
-                      "batcher (caller should flush first)");
-          unflushed.inc();
-          std::fprintf(stderr,
-                       "rpc: flushing %u batched call(s) under a blocking "
-                       "caller; flush() first\n",
-                       batcher->buffered());
-          try {
-            batcher->flush();
-          } catch (const TransportError&) {
-            // Dead transport: the reader fails the futures; nothing to do.
-          }
-        };
+  // Above depth 1 nothing reads in the background: a caller waiting on
+  // the future drives the client.
+  if (batcher_) {
+    promise.state()->drive = [weak = std::weak_ptr<RpcClient>(self_)] {
+      const auto client = weak.lock();
+      if (!client) return false;
+      if (client->batcher_->buffered() > 0) {
+        static obs::Counter& unflushed =
+            counter("cricket_batch_unflushed_waits_total",
+                    "Futures blocked on while calls sat unflushed in the "
+                    "batcher (caller should flush first)");
+        unflushed.inc();
+      }
+      return client->pump();
+    };
   }
   const RetryPolicy& policy = options_.retry;
   {
     sim::MutexLock lock(mu_);
-    if (batcher_ && pending_.size() >= options_.max_outstanding) {
-      // Push out calls the batcher may hold before waiting on their replies.
+    // A full window: read replies until one frees a slot.
+    while (batcher_ && !dead_ &&
+           pending_.size() >= options_.max_outstanding) {
       lock.unlock();
-      flush();
+      (void)pump();
       lock.lock();
-      while (!dead_ && pending_.size() >= options_.max_outstanding)
-        slots_cv_.wait(mu_);
     }
     if (dead_) {
       promise.set_error(std::make_exception_ptr(
@@ -212,9 +194,7 @@ ReplyFuture RpcClient::call_raw_async(std::uint32_t proc,
   }
   if (policy.enabled) {
     sim::MutexLock lock(mu_);
-    // The entry can already be gone (failed by a racing disconnect).
-    if (const auto it = pending_.find(call.xid); it != pending_.end())
-      it->second.record = record;
+    pending_.at(call.xid).record = record;
   }
   send(record);
   if (!batcher_) await(future);
@@ -232,7 +212,7 @@ void RpcClient::send(std::span<const std::uint8_t> record) {
     sim::MutexLock lock(mu_);
     stats_.bytes_sent += record.size();
   } catch (const TransportError& e) {
-    // Above depth 1 the reader notices the dead connection and repairs it.
+    // Above depth 1 the next read finds the dead connection and repairs it.
     if (batcher_) return;
     sim::MutexLock lock(mu_);
     (void)reconnect_locked(Clock::now(), e.what());
@@ -241,14 +221,22 @@ void RpcClient::send(std::span<const std::uint8_t> record) {
 
 void RpcClient::await(const ReplyFuture& future) {
   const obs::Span wait_span(obs::Layer::kClientWait);
-  std::vector<std::uint8_t> record;
-  while (!future.ready() && step(record)) {
+  while (!future.ready() && step()) {
   }
   if (options_.retry.enabled)
     (void)transport_->set_recv_timeout(std::chrono::nanoseconds::zero());
 }
 
-bool RpcClient::step(std::vector<std::uint8_t>& record) {
+bool RpcClient::pump() {
+  try {
+    flush();
+  } catch (const TransportError&) {
+    // The next read finds the dead connection.
+  }
+  return step();
+}
+
+bool RpcClient::step() {
   const RetryPolicy& policy = options_.retry;
   if (policy.enabled) {
     const auto now = Clock::now();
@@ -257,8 +245,8 @@ bool RpcClient::step(std::vector<std::uint8_t>& record) {
     {
       sim::MutexLock lock(mu_);
       resend = expire_locked(now, due);
-      // Depth 1 reads only for the call it awaits.
-      if (!batcher_ && pending_.empty()) return true;
+      // The last pending call just failed: nothing to read for.
+      if (pending_.empty()) return true;
     }
     if (!resend.empty()) {
       // Same xid again: the server's duplicate-request cache answers
@@ -283,8 +271,12 @@ bool RpcClient::step(std::vector<std::uint8_t>& record) {
   }
   std::string reason = "connection closed by peer";
   try {
-    if (reader_.read_record(record)) {
-      on_record(record);
+    if (reader_.read_record(record_)) {
+      // The server sends coalesced replies in one write: match all of them
+      // that already arrived, so a full window frees every slot they answer.
+      do {
+        on_record(record_);
+      } while (reader_.has_record() && reader_.read_record(record_));
       return true;
     }
   } catch (const TransportTimeout&) {
@@ -349,14 +341,13 @@ void RpcClient::on_record(std::span<const std::uint8_t> record) {
     return;
   }
   ++stats_.replies;
-  // Carries the call's xid, so a viewer ties reader events to the caller.
+  // Carries the call's xid, so a viewer ties the reply to its call.
   const obs::ScopedXid trace_xid(reply.xid);
   obs::instant(obs::Layer::kChanReply, nullptr, record.size());
   auto error = reply_error(reply);
   if (!error) {
     it->second.promise.set_value(std::move(reply.results));
     pending_.erase(it);
-    slots_cv_.notify_all();
     return;
   }
   if (error->kind() == RpcError::Kind::kMigrating &&
@@ -443,7 +434,7 @@ RpcClient::Pending::iterator RpcClient::retry_or_fail_locked(
 bool RpcClient::reconnect_locked(Clock::time_point now,
                                  const std::string& reason) {
   std::unique_ptr<Transport> fresh;
-  if (options_.retry.enabled && options_.reconnect && !stopping_) {
+  if (options_.retry.enabled && options_.reconnect) {
     try {
       fresh = options_.reconnect();
     } catch (const std::exception&) {
@@ -478,7 +469,6 @@ RpcClient::Pending::iterator RpcClient::fail_locked(Pending::iterator it,
                                                     std::exception_ptr error) {
   ++stats_.failed;
   it->second.promise.set_error(std::move(error));
-  slots_cv_.notify_all();
   return pending_.erase(it);
 }
 
@@ -487,14 +477,8 @@ void RpcClient::flush() {
 }
 
 void RpcClient::drain() {
-  try {
-    flush();
-  } catch (const TransportError&) {
-    // The reader notices the dead transport and fails every pending call;
-    // drain's contract is only "everything completed", which still holds.
+  while (outstanding() > 0 && pump()) {
   }
-  sim::MutexLock lock(mu_);
-  while (!pending_.empty()) slots_cv_.wait(mu_);
 }
 
 std::uint32_t RpcClient::outstanding() const {

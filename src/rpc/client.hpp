@@ -5,13 +5,17 @@
 // so the identical client runs over a plain pipe, a real TCP socket, or the
 // vnet-simulated unikernel network paths.
 //
-// ClientOptions::max_outstanding picks how calls are driven:
-//   * 1 (default, the paper's client: "the RPC library is single-threaded",
-//     §4.2): each call is written with RecordWriter and its reply read with
-//     RecordReader on the calling thread. No thread is started.
+// Like the paper's client ("the RPC library is single-threaded", §4.2) it
+// starts no thread at any depth: replies are read, and retry timers fired,
+// on the caller's thread while it waits. ClientOptions::max_outstanding
+// sets how many calls may be on the wire at once:
+//   * 1 (default, the paper's client): each call is written with
+//     RecordWriter and its reply read with RecordReader before the call
+//     returns.
 //   * N > 1: up to N calls on the wire at once, through the small-call
-//     batcher; one reader thread matches replies, in any order, to their
-//     ReplyFutures by xid, and with retry on also fires the retry timers.
+//     batcher. A caller that waits (on a ReplyFuture, at a full window, in
+//     drain()) flushes the batcher and reads replies, matching each, in any
+//     order, to its ReplyFuture by xid.
 // Everything else exists once for both: xids, credential, encoding, reply
 // pre-flight and classification, the retry timers and decision, reconnect
 // and stats.
@@ -25,7 +29,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "rpc/batcher.hpp"
@@ -112,9 +115,9 @@ struct RetryPolicy {
 [[nodiscard]] std::optional<RpcError> reply_error(const ReplyMsg& reply);
 
 struct ClientOptions {
-  /// Calls on the wire at once: 1 drives each call on the caller's thread;
-  /// more pipelines them (see the file comment). call_async blocks at the
-  /// cap.
+  /// Calls on the wire at once: 1 completes each call before it returns;
+  /// more pipelines them (see the file comment). At the cap call_async
+  /// reads replies until one frees a slot.
   std::uint32_t max_outstanding = 1;
   /// Initial transaction id; subsequent calls increment.
   std::uint32_t initial_xid = 0x10000000;
@@ -147,8 +150,18 @@ struct ClientStats {
   std::uint64_t migrating_redirects = 0;  // kMigrating refusals re-sent
 };
 
-/// RPC client bound to one (program, version) on one transport. At
-/// max_outstanding 1 one caller at a time; above it any number.
+/// RPC client bound to one (program, version) on one transport. One caller
+/// at a time at every depth: the client, and the futures it hands out, are
+/// driven by whichever thread is waiting.
+///
+/// Above depth 1 replies are read and retry timers fire only while the
+/// caller waits (a blocking call, a future's get(), a full window, drain()),
+/// so a lost call issued with call_async is re-sent at the caller's next
+/// wait. A caller blocked in a send reads nothing, so the replies to a full
+/// window must fit in what the transport buffers toward the client (the
+/// CUDA client's fire-and-forget calls answer with an error code).
+/// Destruction flushes, half-closes the transport and fails every call
+/// still pending with TransportError.
 class RpcClient {
  public:
   RpcClient(std::unique_ptr<Transport> transport, std::uint32_t prog,
@@ -163,7 +176,8 @@ class RpcClient {
 
   /// Issues `proc` with pre-encoded arguments; the future holds the raw
   /// results, or RpcError / TransportError. At max_outstanding 1 the call
-  /// has completed on return; above it this blocks only at a full window.
+  /// has completed on return; above it this reads replies only at a full
+  /// window.
   [[nodiscard]] ReplyFuture call_raw_async(std::uint32_t proc,
                                            std::span<const std::uint8_t> args)
       CRICKET_EXCLUDES(mu_);
@@ -205,7 +219,7 @@ class RpcClient {
   /// Sends anything the batcher is still holding.
   void flush();
 
-  /// Flushes, then blocks until every outstanding call has completed
+  /// Flushes, then reads replies until every outstanding call has completed
   /// (successfully or not).
   void drain() CRICKET_EXCLUDES(mu_);
 
@@ -242,15 +256,17 @@ class RpcClient {
 
   /// Writes one record: RecordWriter at depth 1, the batcher above it.
   void send(std::span<const std::uint8_t> record) CRICKET_EXCLUDES(mu_);
-  /// Depth 1: steps on the calling thread until `future` completes.
+  /// Depth 1: steps until `future` completes.
   void await(const ReplyFuture& future) CRICKET_EXCLUDES(mu_);
+  /// Depth > 1, one wait's unit of work: sends what the batcher holds, then
+  /// steps. Returns false once the client has closed.
+  bool pump() CRICKET_EXCLUDES(mu_);
 
-  // The shared steps both drivers are built from.
   /// Fires due retry timers and re-sends what they release; otherwise reads
-  /// and handles one reply, waiting no later than the next timer. Depth 1
-  /// (await) and the reader thread run nothing else. Returns false once the
-  /// client has closed.
-  bool step(std::vector<std::uint8_t>& record) CRICKET_EXCLUDES(mu_);
+  /// and handles one reply, and every whole reply already buffered behind
+  /// it, waiting no later than the next timer. Every wait at every depth is
+  /// a loop of this. Returns false once the client has closed.
+  bool step() CRICKET_EXCLUDES(mu_);
   /// Classifies one reply record and completes, retries or drops it.
   void on_record(std::span<const std::uint8_t> record) CRICKET_EXCLUDES(mu_);
   /// Fires due timers and returns the records to re-send now; `next_due`
@@ -277,8 +293,8 @@ class RpcClient {
       CRICKET_REQUIRES(mu_);
   Pending::iterator fail_locked(Pending::iterator it, std::exception_ptr error)
       CRICKET_REQUIRES(mu_);
-  /// Fails every pending call with its own `make_error()`, so waiters on
-  /// other threads never share (and release) one exception object.
+  /// Fails every pending call with its own `make_error()`, so no two
+  /// futures share (and release) one exception object.
   template <typename MakeError>
   void fail_all_locked(const MakeError& make_error) CRICKET_REQUIRES(mu_) {
     for (auto it = pending_.begin(); it != pending_.end();)
@@ -287,26 +303,23 @@ class RpcClient {
 
   std::unique_ptr<Transport> transport_;
   RecordWriter writer_;  // depth 1
-  /// Read only by step(): on the caller's thread at depth 1, on the reader
-  /// thread above it, which is then also the only one to reconnect.
-  RecordReader reader_;
+  RecordReader reader_;  // read only by step()
+  std::vector<std::uint8_t> record_;  // step()'s reply buffer
   std::uint32_t prog_;
   std::uint32_t vers_;
   ClientOptions options_;
-  /// Depth > 1 only. shared_ptr: the on_block hooks hold weak copies, so a
-  /// racing teardown never frees it under them.
-  std::shared_ptr<CallBatcher> batcher_;
+  // Depth > 1 only: the batcher, and a pointer to this client that owns
+  // nothing; the futures' drive hooks hold weak copies, which expire with
+  // the client.
+  std::unique_ptr<CallBatcher> batcher_;
+  std::shared_ptr<RpcClient> self_;
 
   mutable sim::Mutex mu_;
-  sim::CondVar slots_cv_;  // outstanding window + drain waiters
   Pending pending_ CRICKET_GUARDED_BY(mu_);
   std::uint32_t next_xid_ CRICKET_GUARDED_BY(mu_);
   OpaqueAuth cred_ CRICKET_GUARDED_BY(mu_);
   bool dead_ CRICKET_GUARDED_BY(mu_) = false;
-  bool stopping_ CRICKET_GUARDED_BY(mu_) = false;
   ClientStats stats_ CRICKET_GUARDED_BY(mu_);
-
-  std::thread reader_thread_;  // depth > 1
 };
 
 }  // namespace cricket::rpc

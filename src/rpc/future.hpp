@@ -2,10 +2,12 @@
 //
 // A ReplyFuture is the caller's end of one call on an RpcClient: the client
 // completes it (value or error) when the reply with the matching xid
-// arrives, or fails it when the call runs out of retries or the connection
-// dies with the call still outstanding. A minimal hand-rolled shared state
-// (rather than std::future) so the client can complete many futures under
-// one lock sweep and callers can poll readiness cheaply.
+// arrives, or fails it when the call runs out of retries, the connection
+// dies with the call still outstanding, or the client is destroyed. No
+// thread completes it in the background: a caller that waits on a future
+// drives the client itself (it flushes and reads replies), so the future is
+// used on the client's one caller thread. A minimal hand-rolled shared
+// state (rather than std::future) so callers can poll readiness cheaply.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/annotations.hpp"
 #include "xdr/xdr.hpp"
 
 namespace cricket::rpc {
@@ -23,19 +24,16 @@ namespace cricket::rpc {
 namespace detail {
 
 struct ReplyState {
-  sim::Mutex mu;
-  sim::CondVar cv;
-  bool ready CRICKET_GUARDED_BY(mu) = false;
+  bool ready = false;
   // XDR-encoded results.
-  std::vector<std::uint8_t> value CRICKET_GUARDED_BY(mu);
-  std::exception_ptr error CRICKET_GUARDED_BY(mu);
-  /// Invoked (outside the lock) when a caller is about to block on this
-  /// future while it is not ready. The client installs it on batched calls:
-  /// nothing flushes the batcher in the background, so blocking on an
-  /// unflushed call would hang forever — the hook flushes (and counts the
-  /// near-miss) instead. Set before the state is shared; never mutated
-  /// afterwards.
-  std::function<void()> on_block;
+  std::vector<std::uint8_t> value;
+  std::exception_ptr error;
+  /// Takes one step of the client that owns the call: flushes its batcher
+  /// and reads or times out once. Returns false once the client has closed
+  /// or been destroyed, by which time it has failed every call still
+  /// pending. Set before the state is shared; empty on calls that are
+  /// complete when issued (a window of one).
+  std::function<bool()> drive;
 };
 
 }  // namespace detail
@@ -45,24 +43,14 @@ class ReplyPromise {
  public:
   ReplyPromise() : state_(std::make_shared<detail::ReplyState>()) {}
 
-  void set_value(std::vector<std::uint8_t> value) const
-      CRICKET_EXCLUDES(state_->mu) {
-    {
-      sim::MutexLock lock(state_->mu);
-      state_->value = std::move(value);
-      state_->ready = true;
-    }
-    state_->cv.notify_all();
+  void set_value(std::vector<std::uint8_t> value) const {
+    state_->value = std::move(value);
+    state_->ready = true;
   }
 
-  void set_error(std::exception_ptr error) const
-      CRICKET_EXCLUDES(state_->mu) {
-    {
-      sim::MutexLock lock(state_->mu);
-      state_->error = std::move(error);
-      state_->ready = true;
-    }
-    state_->cv.notify_all();
+  void set_error(std::exception_ptr error) const {
+    state_->error = std::move(error);
+    state_->ready = true;
   }
 
   [[nodiscard]] std::shared_ptr<detail::ReplyState> state() const {
@@ -82,41 +70,25 @@ class ReplyFuture {
 
   [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
 
-  /// Non-blocking readiness poll.
-  [[nodiscard]] bool ready() const CRICKET_EXCLUDES(state_->mu) {
-    sim::MutexLock lock(state_->mu);
-    return state_->ready;
-  }
+  /// Non-blocking readiness poll: reads nothing.
+  [[nodiscard]] bool ready() const noexcept { return state_->ready; }
 
-  void wait() const CRICKET_EXCLUDES(state_->mu) {
-    run_on_block_hook();
-    sim::MutexLock lock(state_->mu);
-    while (!state_->ready) state_->cv.wait(state_->mu);
+  /// Drives the client until this call completes. Only a pipelined call
+  /// can be unready, and its client completes it before drive() returns
+  /// false.
+  void wait() const {
+    while (!state_->ready && state_->drive()) {
+    }
   }
 
   /// Blocks until completion; rethrows the call's error if it failed.
-  [[nodiscard]] std::vector<std::uint8_t> get() CRICKET_EXCLUDES(state_->mu) {
-    run_on_block_hook();
-    sim::MutexLock lock(state_->mu);
-    while (!state_->ready) state_->cv.wait(state_->mu);
-    // The waiter takes the error over, so the thread that completed the
-    // call never holds the last reference to an exception in flight here.
+  [[nodiscard]] std::vector<std::uint8_t> get() {
+    wait();
     if (state_->error) std::rethrow_exception(std::exchange(state_->error, {}));
     return std::move(state_->value);
   }
 
  private:
-  /// If we are about to block and the state carries an on_block hook, run
-  /// it outside the lock (it may call back into the client/batcher).
-  void run_on_block_hook() const CRICKET_EXCLUDES(state_->mu) {
-    if (!state_->on_block) return;
-    {
-      sim::MutexLock lock(state_->mu);
-      if (state_->ready) return;
-    }
-    state_->on_block();
-  }
-
   std::shared_ptr<detail::ReplyState> state_;
 };
 

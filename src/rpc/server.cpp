@@ -298,7 +298,7 @@ void serve_transport(const ServiceRegistry& registry, Transport& transport,
     // The peer vanished mid-record or stopped reading: nothing to reply to.
   }
   // Half-close our write side so a client blocked on recv between replies
-  // (a pipelined client's reader) observes end-of-stream.
+  // (a pipelined client waiting on its window) observes end-of-stream.
   try {
     transport.shutdown();
   } catch (const TransportError&) {

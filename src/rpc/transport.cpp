@@ -170,8 +170,6 @@ bool TcpTransport::set_recv_timeout(std::chrono::nanoseconds timeout) {
 
 void TcpTransport::shutdown() { ::shutdown(fd_, SHUT_WR); }
 
-void TcpTransport::shutdown_read() { ::shutdown(fd_, SHUT_RD); }
-
 std::unique_ptr<TcpTransport> TcpTransport::connect_loopback(
     std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

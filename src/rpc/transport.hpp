@@ -41,7 +41,8 @@ class TransportTimeout : public TransportError {
 
 /// Reliable ordered byte stream. Implementations must be safe for one
 /// concurrent sender plus one concurrent receiver (full duplex), but not for
-/// multiple concurrent senders.
+/// multiple concurrent senders. Destroying one closes both directions, as
+/// closing a socket does.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -68,12 +69,6 @@ class Transport {
 
   /// Half-closes the write side; the peer's recv() will drain then return 0.
   virtual void shutdown() = 0;
-
-  /// Closes the read side: a recv() blocked now or later returns what is
-  /// already buffered, then 0. Safe to call from another thread while
-  /// recv() blocks. The base implementation does nothing, so a decorator
-  /// that does not forward it leaves the reader to the peer's close.
-  virtual void shutdown_read() {}
 };
 
 /// One direction of an in-process pipe: a bounded byte FIFO kept in a
@@ -120,7 +115,12 @@ class PipeTransport final : public Transport {
  public:
   PipeTransport(std::shared_ptr<ByteQueue> tx, std::shared_ptr<ByteQueue> rx)
       : tx_(std::move(tx)), rx_(std::move(rx)) {}
-  ~PipeTransport() override { PipeTransport::shutdown(); }
+  /// Closes both directions, as closing a socket does: the peer's recv()
+  /// drains then returns 0, and its send() throws TransportError.
+  ~PipeTransport() override {
+    tx_->close();
+    rx_->close();
+  }
 
   void send(std::span<const std::uint8_t> data) override { tx_->push(data); }
   std::size_t recv(std::span<std::uint8_t> out) override {
@@ -135,7 +135,6 @@ class PipeTransport final : public Transport {
     return true;
   }
   void shutdown() override { tx_->close(); }
-  void shutdown_read() override { rx_->close(); }
 
  private:
   std::shared_ptr<ByteQueue> tx_;
@@ -159,7 +158,6 @@ class TcpTransport final : public Transport {
   std::size_t recv(std::span<std::uint8_t> out) override;
   bool set_recv_timeout(std::chrono::nanoseconds timeout) override;
   void shutdown() override;
-  void shutdown_read() override;
 
   /// Connects to 127.0.0.1:`port`.
   [[nodiscard]] static std::unique_ptr<TcpTransport> connect_loopback(

@@ -64,7 +64,10 @@ VirtioNetTransport::VirtioNetTransport(NetworkProfile profile,
   for (int i = 0; i < 64; ++i) post_rx_buffer();
 }
 
-VirtioNetTransport::~VirtioNetTransport() { shutdown(); }
+VirtioNetTransport::~VirtioNetTransport() {
+  shutdown();
+  wire_rx_->close();
+}
 
 void VirtioNetTransport::post_rx_buffer() {
   const std::uint32_t len = static_cast<std::uint32_t>(

@@ -97,7 +97,6 @@ class ShapedTransport final : public rpc::Transport {
   }
 
   void shutdown() override { inner_->shutdown(); }
-  void shutdown_read() override { inner_->shutdown_read(); }
 
   bool set_recv_timeout(std::chrono::nanoseconds timeout) override {
     // Shaping charges time but does not buffer, so the inner transport's
@@ -119,6 +118,7 @@ class VirtioNetTransport final : public rpc::Transport {
   VirtioNetTransport(NetworkProfile profile, sim::SimClock& clock,
                      std::shared_ptr<rpc::ByteQueue> wire_tx,
                      std::shared_ptr<rpc::ByteQueue> wire_rx);
+  /// Closes both wire queues, as closing a socket does.
   ~VirtioNetTransport() override;
 
   VirtioNetTransport(const VirtioNetTransport&) = delete;
@@ -127,7 +127,6 @@ class VirtioNetTransport final : public rpc::Transport {
   void send(std::span<const std::uint8_t> data) override;
   std::size_t recv(std::span<std::uint8_t> out) override;
   void shutdown() override;
-  void shutdown_read() override { wire_rx_->close(); }
   /// recv() owns the blocking wire pop, so it bounds it directly.
   bool set_recv_timeout(std::chrono::nanoseconds timeout) override {
     recv_timeout_ns_.store(timeout.count(), std::memory_order_relaxed);

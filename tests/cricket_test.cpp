@@ -3,8 +3,10 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <numeric>
 #include <thread>
+#include <utility>
 
 #include "bounded_wait.hpp"
 #include "cricket/checkpoint.hpp"
@@ -12,6 +14,7 @@
 #include "cricket/scheduler.hpp"
 #include "cricket/server.hpp"
 #include "cricket/transfer.hpp"
+#include "cudart/local_api.hpp"
 #include "cudart/raii.hpp"
 #include "env/environment.hpp"
 #include "fatbin/cubin.hpp"
@@ -452,14 +455,15 @@ TEST(CricketTransferMethods, ParallelD2hFromInvalidPointerReturns) {
 }
 
 /// A client transfer lane that is dropped mid-copy: once `budget` bytes
-/// have moved through it, it closes both directions of the pipe beneath it
-/// (as closing a socket would) and fails.
+/// have moved through it, it destroys the pipe end beneath it (which closes
+/// both directions, as closing a socket would) and fails.
 class DroppingLane final : public rpc::Transport {
  public:
   DroppingLane(std::unique_ptr<rpc::Transport> inner, std::size_t budget)
       : inner_(std::move(inner)), budget_(budget) {}
 
   void send(std::span<const std::uint8_t> data) override {
+    if (!inner_) drop();
     if (data.size() > budget_) {
       inner_->send(data.first(budget_));
       drop();
@@ -468,24 +472,31 @@ class DroppingLane final : public rpc::Transport {
     inner_->send(data);
   }
   std::size_t recv(std::span<std::uint8_t> out) override {
-    if (budget_ == 0) drop();
+    if (!inner_ || budget_ == 0) drop();
     const std::size_t n = inner_->recv(out.first(std::min(out.size(), budget_)));
     budget_ -= n;
     return n;
   }
   bool set_recv_timeout(std::chrono::nanoseconds timeout) override {
-    return inner_->set_recv_timeout(timeout);
+    return inner_ && inner_->set_recv_timeout(timeout);
   }
-  void shutdown() override { inner_->shutdown(); }
-  void shutdown_read() override { inner_->shutdown_read(); }
+  /// Called from the copying thread when the copy fails, so it is the one
+  /// call that can race the lane thread's drop().
+  void shutdown() override {
+    const std::lock_guard lock(mu_);
+    if (inner_) inner_->shutdown();
+  }
 
  private:
   [[noreturn]] void drop() {
-    inner_->shutdown();
-    inner_->shutdown_read();
+    {
+      const std::lock_guard lock(mu_);
+      inner_.reset();
+    }
     throw rpc::TransportError("lane dropped mid-copy");
   }
 
+  std::mutex mu_;
   std::unique_ptr<rpc::Transport> inner_;
   std::size_t budget_;
 };
@@ -852,6 +863,159 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<bool>& info) {
       return info.param ? "Pipelined" : "Serial";
     });
+
+// --------------- forwarded calls no workload makes: remote = local ---------
+
+/// CUDA calls that no workload issues, so only this suite reaches their
+/// server handlers.
+enum class RareCall {
+  kSgemv,
+  kSaxpy,
+  kSnrm2,
+  kSpotrf,
+  kSpotrs,
+  kMemcpyH2dAsync,
+  kMemcpyD2hAsync,
+  kStreamWaitEvent,
+};
+
+/// What a call reported and wrote: the first error of the call and of the
+/// sync point after it (a pipelined fire-and-forget call reports there),
+/// and the bytes it left in its outputs.
+struct Outcome {
+  Error error = Error::kSuccess;
+  std::vector<std::uint8_t> bytes;
+};
+
+std::vector<std::uint8_t> float_bytes(const std::vector<float>& v) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+  return {p, p + v.size() * sizeof(float)};
+}
+
+/// Runs `call` on `api` over fresh inputs; `bad` names an invalid device
+/// pointer (or event) in place of one of its operands.
+Outcome run_rare_call(cuda::CudaApi& api, RareCall call, bool bad) {
+  constexpr int n = 4;
+  constexpr cuda::DevPtr kBadPtr = 0xBAD0000;
+  // Symmetric positive definite (column-major), and two vectors.
+  const std::vector<float> a = {4, 1, 0, 0, 1, 4, 1, 0, 0, 1, 4, 1, 0, 0, 1, 4};
+  const std::vector<float> x = {1, 2, 3, 4};
+  const std::vector<float> y = {0.5f, -1, 2, 8};
+  cuda::DevPtr da = 0, dx = 0, dy = 0, dinfo = 0;
+  EXPECT_EQ(api.malloc(da, a.size() * 4), Error::kSuccess);
+  EXPECT_EQ(api.malloc(dx, x.size() * 4), Error::kSuccess);
+  EXPECT_EQ(api.malloc(dy, y.size() * 4), Error::kSuccess);
+  EXPECT_EQ(api.malloc(dinfo, 4), Error::kSuccess);
+  EXPECT_EQ(api.memcpy_h2d(da, float_bytes(a)), Error::kSuccess);
+  EXPECT_EQ(api.memcpy_h2d(dx, float_bytes(x)), Error::kSuccess);
+  EXPECT_EQ(api.memcpy_h2d(dy, float_bytes(y)), Error::kSuccess);
+  EXPECT_EQ(api.memset(dinfo, 0x7F, 4), Error::kSuccess);
+  cuda::StreamId stream = 0;
+  cuda::EventId event = 0;
+  EXPECT_EQ(api.stream_create(stream), Error::kSuccess);
+  EXPECT_EQ(api.event_create(event), Error::kSuccess);
+  EXPECT_EQ(api.event_record(event, stream), Error::kSuccess);
+
+  std::vector<std::uint8_t> host(x.size() * 4, 0xEE);
+  Error err = Error::kSuccess;
+  switch (call) {
+    case RareCall::kSgemv:
+      err = api.blas_sgemv(n, n, 2.0f, bad ? kBadPtr : da, n, dx, 0.5f, dy);
+      break;
+    case RareCall::kSaxpy:
+      err = api.blas_saxpy(n, 3.0f, bad ? kBadPtr : dx, dy);
+      break;
+    case RareCall::kSnrm2:
+      err = api.blas_snrm2(n, dx, bad ? kBadPtr : dinfo);
+      break;
+    case RareCall::kSpotrf:
+      err = api.solver_spotrf(n, bad ? kBadPtr : da, n, dinfo);
+      break;
+    case RareCall::kSpotrs:
+      EXPECT_EQ(api.solver_spotrf(n, da, n, dinfo), Error::kSuccess);
+      err = api.solver_spotrs(n, 1, da, n, bad ? kBadPtr : dy, n, dinfo);
+      break;
+    case RareCall::kMemcpyH2dAsync:
+      err = api.memcpy_h2d_async(bad ? kBadPtr : dy, float_bytes(x), stream);
+      break;
+    case RareCall::kMemcpyD2hAsync:
+      err = api.memcpy_d2h_async(host, bad ? kBadPtr : dx, stream);
+      break;
+    case RareCall::kStreamWaitEvent:
+      err = api.stream_wait_event(stream, bad ? cuda::EventId{0xDEAD} : event);
+      break;
+  }
+  const Error synced = api.device_synchronize();
+  Outcome out{.error = err != Error::kSuccess ? err : synced, .bytes = host};
+  const std::pair<cuda::DevPtr, std::size_t> outputs[] = {
+      {da, a.size() * 4}, {dy, y.size() * 4}, {dinfo, 4}};
+  for (const auto& [ptr, size] : outputs) {
+    std::vector<std::uint8_t> back(size);
+    EXPECT_EQ(api.memcpy_d2h(back, ptr), Error::kSuccess);
+    out.bytes.insert(out.bytes.end(), back.begin(), back.end());
+  }
+  return out;
+}
+
+std::string rare_call_name(const ::testing::TestParamInfo<RareCall>& info) {
+  static constexpr const char* kNames[] = {
+      "Sgemv",  "Saxpy",          "Snrm2",          "Spotrf",
+      "Spotrs", "MemcpyH2dAsync", "MemcpyD2hAsync", "StreamWaitEvent"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+/// Each rare call, good and with a bad handle, through LocalCudaApi and
+/// through RemoteCudaApi serial and at depth 32: the errors and the bytes
+/// written must be the same.
+class RareCallsForwarded : public ::testing::TestWithParam<RareCall> {
+ protected:
+  static Outcome local(bool bad) {
+    const auto node = cuda::GpuNode::make_a100();
+    cuda::LocalCudaApi api(*node);
+    return run_rare_call(api, GetParam(), bad);
+  }
+
+  static Outcome remote(bool pipelined, bool bad) {
+    const auto node = cuda::GpuNode::make_a100();
+    ServerOptions options;
+    if (pipelined) options.serve.workers = 1;
+    CricketServer server(*node, options);
+    auto [client_end, server_end] = rpc::make_pipe_pair();
+    std::thread serving = server.serve_async(std::move(server_end));
+    Outcome out;
+    {
+      RemoteCudaApi api(
+          std::move(client_end), node->clock(),
+          ClientConfig{.pipeline = {.enabled = pipelined, .depth = 32}});
+      out = run_rare_call(api, GetParam(), bad);
+      EXPECT_EQ(api.stats().pipelined > 0, pipelined);
+    }
+    serving.join();
+    return out;
+  }
+};
+
+TEST_P(RareCallsForwarded, MatchLocalSerialAndPipelined) {
+  for (const bool bad : {false, true}) {
+    SCOPED_TRACE(bad ? "bad handle" : "valid operands");
+    const Outcome want = local(bad);
+    EXPECT_EQ(want.error == Error::kSuccess, !bad);
+    for (const bool pipelined : {false, true}) {
+      SCOPED_TRACE(pipelined ? "depth 32" : "serial");
+      const Outcome got = remote(pipelined, bad);
+      EXPECT_EQ(got.error, want.error);
+      EXPECT_EQ(got.bytes, want.bytes);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EightCalls, RareCallsForwarded,
+    ::testing::Values(RareCall::kSgemv, RareCall::kSaxpy, RareCall::kSnrm2,
+                      RareCall::kSpotrf, RareCall::kSpotrs,
+                      RareCall::kMemcpyH2dAsync, RareCall::kMemcpyD2hAsync,
+                      RareCall::kStreamWaitEvent),
+    rare_call_name);
 
 }  // namespace
 }  // namespace cricket::core

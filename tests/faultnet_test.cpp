@@ -542,9 +542,8 @@ TEST(RetryPolicy, ChannelFailsFuturesOnExhaustion) {
 
 // ------------------- one rule set at every client depth --------------------
 
-/// The retry and reply rules of rpc::RpcClient, each checked at depth 1 (the
-/// caller's thread drives the call) and pipelined (reader and retry
-/// threads).
+/// The retry and reply rules of rpc::RpcClient, each checked at depth 1 and
+/// pipelined (the caller's thread drives the calls at both).
 class ClientRules : public ::testing::TestWithParam<std::uint32_t> {
  protected:
   /// Serves one call on a raw pipe: answers it with `reply_for(call)` as the
@@ -568,7 +567,6 @@ class ClientRules : public ::testing::TestWithParam<std::uint32_t> {
 
   void TearDown() override {
     if (server_.joinable()) server_.join();
-    if (server_end_) server_end_->shutdown();  // ends the client's reader
     client_.reset();
   }
 
@@ -636,6 +634,84 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == kSerial ? "Serial" : "Pipelined";
     });
 
+// ------------------ pipelined retries run while the caller waits ----------
+
+/// A depth-8 retrying client whose first call message is lost on the way to
+/// an echo server with the duplicate-request cache. Nothing reads or fires
+/// timers in the background, so the lost call is re-sent only once the
+/// caller waits.
+class LostFirstCall : public ::testing::Test {
+ protected:
+  static constexpr auto kAttemptTimeout = 100ms;
+
+  void SetUp() override {
+    registry_.register_typed<std::uint32_t, std::uint32_t>(
+        kProg, kVers, kProcEcho, [this](std::uint32_t v) {
+          executions_.fetch_add(1);
+          return v;
+        });
+    registry_.enable_duplicate_cache();
+    auto [client_end, server_end] = rpc::make_pipe_pair();
+    server_end_ = std::move(server_end);
+    server_ = std::thread(
+        [this] { rpc::serve_transport(registry_, *server_end_); });
+    auto lossy = std::make_unique<FaultyTransport>(
+        std::move(client_end), FaultSpec::parse("drop=1.0,max_faults=1"));
+    wire_ = lossy.get();
+    rpc::ClientOptions options;
+    options.max_outstanding = 8;
+    options.retry.enabled = true;
+    options.retry.attempt_timeout = kAttemptTimeout;
+    options.retry.deadline = 20s;
+    client_ = std::make_unique<rpc::RpcClient>(std::move(lossy), kProg,
+                                               kVers, options);
+  }
+
+  void TearDown() override {
+    client_.reset();  // half-closes: the serve loop returns
+    server_.join();
+  }
+
+  /// Issues the call that is lost, and checks that it stays lost, with no
+  /// retry, while the caller does not wait.
+  rpc::TypedFuture<std::uint32_t> issue_and_idle() {
+    auto future = client_->call_async<std::uint32_t>(kProcEcho, 7u);
+    std::this_thread::sleep_for(3 * kAttemptTimeout);
+    EXPECT_FALSE(future.ready());
+    EXPECT_EQ(client_->stats().retries, 0u);
+    EXPECT_EQ(wire_->stats().messages, 1u);
+    return future;
+  }
+
+  void expect_answered_once() {
+    EXPECT_EQ(client_->stats().retries, 1u);
+    EXPECT_EQ(wire_->stats().dropped, 1u);
+    EXPECT_EQ(executions_.load(), 1u);
+  }
+
+  rpc::ServiceRegistry registry_;
+  std::atomic<std::uint64_t> executions_{0};
+  std::unique_ptr<rpc::Transport> server_end_;
+  std::thread server_;
+  FaultyTransport* wire_ = nullptr;
+  std::unique_ptr<rpc::RpcClient> client_;
+};
+
+TEST_F(LostFirstCall, DrainResendsIt) {
+  auto future = issue_and_idle();
+  testutil::within(std::chrono::seconds(20), [&] { client_->drain(); });
+  ASSERT_TRUE(future.ready());
+  EXPECT_EQ(future.get(), 7u);
+  expect_answered_once();
+}
+
+TEST_F(LostFirstCall, GetResendsIt) {
+  auto future = issue_and_idle();
+  testutil::within(std::chrono::seconds(20),
+                   [&] { EXPECT_EQ(future.get(), 7u); });
+  expect_answered_once();
+}
+
 TEST(StickyError, RemoteApiDegradesGracefullyAfterExhaustion) {
   auto node = cuda::GpuNode::make_a100();
   auto [client_end, server_end] = rpc::make_pipe_pair();
@@ -696,7 +772,7 @@ TEST(Reconnect, ChannelResubmitsInFlightCallsOnNewConnection) {
   registry.enable_duplicate_cache();
 
   // Each "connection" is a pipe pair with its own serve thread on the shared
-  // registry; the factory is called from the client's reader thread.
+  // registry; the factory is called from the thread waiting on the call.
   std::mutex threads_mu;
   std::vector<std::thread> serve_threads;
   auto connect_fn = [&]() -> std::unique_ptr<rpc::Transport> {
@@ -730,7 +806,7 @@ TEST(Reconnect, ChannelResubmitsInFlightCallsOnNewConnection) {
   {
     rpc::RpcClient channel(std::move(first.first), kProg, kVers, options);
     // Issue a call, let it reach the server, then kill the reply direction
-    // while the handler is still running: the reader sees end-of-stream,
+    // while the handler is still running: get() sees end-of-stream,
     // reconnects, and resubmits the in-flight xid on the new connection.
     auto fut = channel.call_async<std::uint32_t>(
         kProcDelayEcho, std::uint32_t{321}, std::uint32_t{300});
@@ -780,7 +856,7 @@ TEST(ZeroDeadlineBatcher, BlockedFutureFlushesInsteadOfHanging) {
   options.batch.max_bytes = 1 << 20;
   rpc::RpcClient channel(h.take_client_transport(), kProg, kVers, options);
   auto fut = channel.call_async<std::uint32_t>(kProcEcho, 9u);
-  // No flush() — before the on_block hook this would deadlock forever.
+  // No flush(): the waiting get() flushes the batcher itself.
   EXPECT_EQ(fut.get(), 9u);
 }
 

@@ -114,7 +114,7 @@ TEST(RpcClientDepth, DepthOneRunsOnTheCallersThreadOnly) {
   server.join();
 }
 
-TEST(RpcClientDepth, PipelinedClientAddsOnlyItsReader) {
+TEST(RpcClientDepth, PipelinedClientStartsNoThread) {
   ServiceRegistry registry = make_test_registry();
   auto [client_end, server_end] = make_pipe_pair();
   std::thread server([&registry, &server_end] {
@@ -132,16 +132,16 @@ TEST(RpcClientDepth, PipelinedClientAddsOnlyItsReader) {
       futures.push_back(client.call_async<std::uint32_t>(kProcAdd, i, 1u));
     client.drain();
     for (std::uint32_t i = 0; i < 40; ++i) EXPECT_EQ(futures[i].get(), i + 1);
-    // The reader also fires the retry timers, and the batcher flushes at
-    // sync points: no retry thread, no flusher.
-    EXPECT_EQ(thread_count(), before + 1);
+    // The waiting caller reads the replies and fires the retry timers, and
+    // the batcher flushes when it waits: no reader, retry or flusher thread.
+    EXPECT_EQ(thread_count(), before);
   }
   server.join();
 }
 
 TEST(RpcClientDepth, DestructorReturnsWhenThePeerNeverCloses) {
-  // The peer neither replies nor closes: teardown must wake the reader
-  // itself and fail the call still pending.
+  // The peer neither replies nor closes: teardown must not wait for the
+  // reply, and fails the call still pending.
   auto [client_end, server_end] = make_pipe_pair();
   ReplyFuture pending;
   testutil::within(std::chrono::seconds(10), [&] {
@@ -1075,6 +1075,22 @@ TEST(ByteQueue, CloseLetsTheReaderDrain) {
   EXPECT_EQ(q.pop(out), 2u);
   EXPECT_EQ(out[1], 5);
   EXPECT_EQ(q.pop(out), 0u);
+}
+
+TEST(PipeTransport, DestroyedEndClosesBothDirections) {
+  auto [a, b] = make_pipe_pair(4 << 10);
+  const std::uint8_t hello[5] = {1, 2, 3, 4, 5};
+  b->send(hello);
+  b.reset();
+  // The peer's send into a full ring fails instead of blocking forever...
+  const std::vector<std::uint8_t> big(64 << 10, 0x5A);
+  testutil::within(std::chrono::seconds(10), [&] {
+    EXPECT_THROW(a->send(big), TransportError);
+  });
+  // ...and its recv drains what was sent, then reads end-of-stream.
+  std::uint8_t out[8] = {};
+  EXPECT_EQ(a->recv(out), 5u);
+  EXPECT_EQ(a->recv(out), 0u);
 }
 
 TEST(ByteQueue, PopForThrowsTransportTimeout) {

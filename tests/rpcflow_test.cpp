@@ -439,9 +439,6 @@ TEST(AsyncRpcChannelTest, OversizedReplyFailsUndecodedViaBoundsTable) {
            .get()),
       42u);
   server2.join();
-  // End the reader loop: the client destructor joins the reader, which
-  // runs until the server half-closes.
-  server_end->shutdown();
 }
 
 TEST(AsyncRpcChannelTest, DrainIsIdleSafe) {

@@ -1022,6 +1022,24 @@ TEST_P(TransportIntegrityProperty, RandomChunkingSurvives) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TransportIntegrityProperty,
                          ::testing::Range<std::uint64_t>(50, 58));
 
+TEST(VirtioNetTransport, DestroyedGuestClosesBothWireQueues) {
+  sim::SimClock clock;
+  NetworkProfile p;
+  p.virtualized = true;
+  auto c2s = std::make_shared<rpc::ByteQueue>(4 << 10);
+  auto s2c = std::make_shared<rpc::ByteQueue>(4 << 10);
+  rpc::PipeTransport host(s2c, c2s);
+  { VirtioNetTransport guest(p, clock, c2s, s2c); }
+  // The host's send into the guest's full RX wire fails instead of
+  // blocking forever, and its recv reads end-of-stream.
+  const std::vector<std::uint8_t> big(64 << 10, 0x5A);
+  testutil::within(std::chrono::seconds(10), [&host, &big] {
+    EXPECT_THROW(host.send(big), rpc::TransportError);
+  });
+  std::uint8_t out[8] = {};
+  EXPECT_EQ(host.recv(out), 0u);
+}
+
 }  // namespace
 }  // namespace cricket::vnet
 

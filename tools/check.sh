@@ -62,7 +62,9 @@
 #  20. rpcflow-gate  bench_rpcflow (2000 calls, depth 32) from the plain
 #                    build: the pipelined client must reach >= 4x the
 #                    serial client's virtual-time call rate on at least one
-#                    environment (the bench's own exit code)
+#                    environment (the bench's own exit code); run again on
+#                    one CPU under taskset when it exists, where the client
+#                    and server threads must share that CPU
 #  21. fig7-smoke    bench_fig7_bandwidth (16 MiB, one run) from the plain
 #                    build: every environment's bulk copy, both directions,
 #                    byte-compared (exit non-zero on any UNVERIFIED row)
@@ -330,7 +332,7 @@ fi
 # ---------------------------------------------------------------- 15: migrate
 # Live-migration suites under ThreadSanitizer: the drain barrier, chunked
 # transfer, redirect flip, and DRC hand-off all run with coordinator,
-# serve, and client reader threads racing — the label selects them on the
+# serve, and client threads racing — the label selects them on the
 # TSan tree.
 if should_continue; then
   if [[ -d build-tsan ]]; then
@@ -383,7 +385,7 @@ fi
 # Content-addressed module cache suites under ThreadSanitizer: concurrent
 # sessions race acquire/insert/release against eviction and teardown, and
 # the two-phase load negotiation (including drop-fault fallback) runs
-# client, serve, and reader threads concurrently — the label selects them on
+# client and serve threads concurrently — the label selects them on
 # the TSan tree.
 if should_continue; then
   if [[ -d build-tsan ]]; then
@@ -435,13 +437,20 @@ fi
 # ---------------------------------------------------------- 20: rpcflow-gate
 # The pipelining claim, through the pipelined client and the serve loop's
 # pipelined intake: bench_rpcflow exits non-zero unless pipelining reaches
-# >= 4x the serial call rate somewhere.
+# >= 4x the serial call rate somewhere. The pipelined client reads its
+# replies only on the caller's thread, so the run pinned to one CPU checks
+# that a full window still drains when client and server share it.
 if should_continue; then
   if [[ ! -x build/bench/bench_rpcflow ]]; then
     record rpcflow-gate "SKIP (build/bench/bench_rpcflow missing — run plain stage first)"
   else
-    run_stage rpcflow-gate build/bench/bench_rpcflow --calls=2000 --depth=32 \
-      --json=build/bench_rpcflow.json
+    run_stage rpcflow-gate bash -c '
+      build/bench/bench_rpcflow --calls=2000 --depth=32 \
+        --json=build/bench_rpcflow.json &&
+      if command -v taskset >/dev/null; then
+        taskset -c 0 build/bench/bench_rpcflow --calls=2000 --depth=32 \
+          --json=build/bench_rpcflow_one_cpu.json
+      fi'
   fi
 fi
 
